@@ -75,6 +75,14 @@ class Outcome:
         return f"{self.peak_memory_mb:.2f}"
 
 
+def _takes_peel_options(algorithm: str) -> bool:
+    """Whether ``algorithm`` runs :func:`~repro.core.host.gpu_peel`
+    (the multi-GPU runners take ``MultiGpuOptions`` instead)."""
+    return algorithm.startswith("gpu-") and not algorithm.startswith(
+        "gpu-multi"
+    )
+
+
 def _kwargs_for(algorithm: str, budget_ms: Optional[float]) -> dict:
     if budget_ms is None:
         return {}
@@ -83,7 +91,7 @@ def _kwargs_for(algorithm: str, budget_ms: Optional[float]) -> dict:
     }
     if gpu_side:
         return {"time_budget_ms": budget_ms}
-    if algorithm.startswith("gpu-") and not algorithm.startswith("gpu-multi"):
+    if _takes_peel_options(algorithm):
         from repro.core.host import GpuPeelOptions
 
         return {"options": GpuPeelOptions(time_budget_ms=budget_ms)}
@@ -98,10 +106,11 @@ def run_program(
 ) -> Outcome:
     """Run ``algorithm`` on ``dataset`` and classify the outcome.
 
-    ``repeats > 1`` reruns GPU kernels with different schedule-fuzz
-    seeds and reports mean±std of the simulated time (the paper runs
-    its GPU programs 100 times; our simulator is deterministic unless
-    fuzzed, so the spread comes from schedule jitter).
+    ``repeats > 1`` reruns single-GPU kernels with different
+    schedule-fuzz seeds and reports mean±std of the simulated time (the
+    paper runs its GPU programs 100 times; our simulator is
+    deterministic unless fuzzed, so the spread comes from schedule
+    jitter).  Other programs simply rerun.
     """
     graph = datasets.load(dataset)
     times = []
@@ -112,7 +121,7 @@ def run_program(
             # memory telemetry is observability-only (byte-identical
             # simulated time and peak), so every bench run carries it
             kwargs["memtrace"] = True
-        if repeats > 1 and algorithm.startswith("gpu-"):
+        if repeats > 1 and _takes_peel_options(algorithm):
             from repro.core.host import GpuPeelOptions
 
             kwargs["options"] = GpuPeelOptions(

@@ -65,8 +65,8 @@ violations exit 1.  Supported for the simulated peeling algorithms
 (``repro.api.CRITPATHABLE``).
 
 ``--engine NAME`` selects the simulator execution engine for the
-``gpu-*`` algorithms (``repro.api.ENGINEABLE``): ``reference``,
-``vectorized`` (the default) or ``jit``.  Engines are byte-identical
+``gpu-*`` algorithms (``repro.api.ENGINEABLE``): ``reference``
+or ``vectorized`` (the default).  Engines are byte-identical
 by contract — the same simulated milliseconds, counters and memory
 peaks — so the flag only changes host wall-clock time; see
 ``docs/SIMULATOR.md``.
@@ -406,43 +406,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: unknown algorithm {args.algorithm!r}{hint}",
               file=sys.stderr)
         return 2
-    if args.sanitize and args.algorithm not in SANITIZABLE:
-        print(f"error: algorithm {args.algorithm!r} does not support "
-              f"--sanitize (supported: {', '.join(sorted(SANITIZABLE))})",
-              file=sys.stderr)
-        return 2
-    if args.staticheck and args.algorithm not in STATICHECKABLE:
-        print(f"error: algorithm {args.algorithm!r} does not support "
-              f"--staticheck (supported: "
-              f"{', '.join(sorted(STATICHECKABLE))})",
-              file=sys.stderr)
-        return 2
-    if args.dataflow and args.algorithm not in DATAFLOWABLE:
-        print(f"error: algorithm {args.algorithm!r} does not support "
-              f"--dataflow (supported: "
-              f"{', '.join(sorted(DATAFLOWABLE))})",
-              file=sys.stderr)
-        return 2
-    if args.ncu is not None and args.algorithm not in PROFILABLE:
-        print(f"error: algorithm {args.algorithm!r} does not support "
-              f"--ncu (supported: {', '.join(sorted(PROFILABLE))})",
-              file=sys.stderr)
-        return 2
-    if args.engine is not None and args.algorithm not in ENGINEABLE:
-        print(f"error: algorithm {args.algorithm!r} does not support "
-              f"--engine (supported: {', '.join(sorted(ENGINEABLE))})",
-              file=sys.stderr)
-        return 2
-    if args.memtrace is not None and args.algorithm not in MEMTRACEABLE:
-        print(f"error: algorithm {args.algorithm!r} does not support "
-              f"--memtrace (supported: {', '.join(sorted(MEMTRACEABLE))})",
-              file=sys.stderr)
-        return 2
-    if args.critpath is not None and args.algorithm not in CRITPATHABLE:
-        print(f"error: algorithm {args.algorithm!r} does not support "
-              f"--critpath (supported: {', '.join(sorted(CRITPATHABLE))})",
-              file=sys.stderr)
-        return 2
+    # flag, the runner keyword it turns on, whether given, who supports it
+    observers = (
+        ("--sanitize", "sanitize", args.sanitize, SANITIZABLE),
+        ("--staticheck", "staticheck", args.staticheck, STATICHECKABLE),
+        ("--dataflow", "dataflow", args.dataflow, DATAFLOWABLE),
+        ("--ncu", "profile", args.ncu is not None, PROFILABLE),
+        ("--engine", "engine", args.engine is not None, ENGINEABLE),
+        ("--memtrace", "memtrace", args.memtrace is not None, MEMTRACEABLE),
+        ("--critpath", "critpath", args.critpath is not None, CRITPATHABLE),
+    )
+    for flag, _, given, supported in observers:
+        if given and args.algorithm not in supported:
+            print(f"error: algorithm {args.algorithm!r} does not support "
+                  f"{flag} (supported: {', '.join(sorted(supported))})",
+                  file=sys.stderr)
+            return 2
     if args.dataset:
         try:
             graph = datasets.load(args.dataset)
@@ -475,21 +454,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 1
         return 0
 
-    run_kwargs = {}
+    run_kwargs = {key: True for _, key, given, _ in observers if given}
     if args.engine is not None:
         run_kwargs["engine"] = args.engine
-    if args.sanitize:
-        run_kwargs["sanitize"] = True
-    if args.staticheck:
-        run_kwargs["staticheck"] = True
-    if args.dataflow:
-        run_kwargs["dataflow"] = True
-    if args.ncu is not None:
-        run_kwargs["profile"] = True
-    if args.memtrace is not None:
-        run_kwargs["memtrace"] = True
-    if args.critpath is not None:
-        run_kwargs["critpath"] = True
     if args.profile:
         from repro.obs import start_tracing, stop_tracing
 

@@ -125,7 +125,7 @@ class KCoreDecomposer:
         self.profile = profile
         self.memtrace = memtrace
         #: execution engine for ``simulate`` mode — ``"reference"``,
-        #: ``"vectorized"`` (default), ``"jit"``, or a prebuilt
+        #: ``"vectorized"`` (default), or a prebuilt
         #: :class:`~repro.gpusim.engine.ExecutionEngine`.  ``fast``
         #: mode runs no simulator kernels, so the engine is unused.
         self.engine = engine

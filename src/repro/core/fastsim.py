@@ -79,8 +79,6 @@ from repro.gpusim.vectorized import (
     assemble_stats,
     contiguous_transactions,
     grouped_distinct_segments,
-    jit_available,
-    maybe_jit,
 )
 
 __all__ = ["register"]
@@ -263,7 +261,7 @@ def _contig_trans_vec(start: np.ndarray, length: np.ndarray) -> np.ndarray:
     return np.where(length > 0, out, 0)
 
 
-def _expand_edges_numpy(
+def _expand_edges(
     starts: np.ndarray, degs: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Expand per-event CSR slices to per-edge (event, offset, position)."""
@@ -272,45 +270,6 @@ def _expand_edges_numpy(
     base = _exclusive_cumsum(degs)
     off = np.arange(total, dtype=np.int64) - base[eid]
     return eid, off, starts[eid] + off
-
-
-def _expand_edges_loop(
-    starts: np.ndarray,
-    degs: np.ndarray,
-    eid: np.ndarray,
-    off: np.ndarray,
-    pos: np.ndarray,
-) -> None:  # pragma: no cover - exercised only under numba
-    j = 0
-    for e in range(degs.shape[0]):
-        for o in range(degs[e]):
-            eid[j] = e
-            off[j] = o
-            pos[j] = starts[e] + o
-            j += 1
-
-
-_JITTED_EXPAND: Any = None
-
-
-def _expand_edges(
-    starts: np.ndarray, degs: np.ndarray, use_jit: bool
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Edge expansion; the ``jit`` engine compiles the scalar loop.
-
-    Identical output either way — the JIT tier only changes host time.
-    """
-    if use_jit and jit_available():  # pragma: no cover - needs numba
-        global _JITTED_EXPAND
-        if _JITTED_EXPAND is None:
-            _JITTED_EXPAND = maybe_jit(_expand_edges_loop, True)
-        total = int(degs.sum())
-        eid = np.empty(total, dtype=np.int64)
-        off = np.empty(total, dtype=np.int64)
-        pos = np.empty(total, dtype=np.int64)
-        _JITTED_EXPAND(starts, degs, eid, off, pos)
-        return eid, off, pos
-    return _expand_edges_numpy(starts, degs)
 
 
 def _adjacency_has_duplicates(
@@ -1216,7 +1175,7 @@ def _flush_events(run: _LoopRun) -> None:
         return
 
     # -- expand every event's adjacency slice to edge granularity ------
-    eid, off, pos = _expand_edges(starts, degs, run.launch.use_jit)
+    eid, off, pos = _expand_edges(starts, degs)
     u = run.neighbors.data[pos]
 
     # trips: 32 lanes per trip, in (event, trip, lane) order — exactly

@@ -28,23 +28,19 @@ The implementation follows that sketch exactly:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 import repro.core.fastsim  # noqa: F401  (registers vectorized executors)
+from repro.core.driver import HostRun
 from repro.core.loop_kernel import loop_kernel
 from repro.core.variants import VariantConfig, get_variant
 from repro.errors import ReproError
 from repro.gpusim.costmodel import CostModel
-from repro.gpusim.device import Device
 from repro.gpusim.engine import ExecutionEngine
 from repro.gpusim.spec import DeviceSpec
 from repro.graph.csr import CSRGraph
 from repro.result import DecompositionResult
-
-if TYPE_CHECKING:
-    from repro.memtrace.report import MemtraceReport
 
 __all__ = ["multi_gpu_peel", "partition_ranges", "MultiGpuOptions"]
 
@@ -127,52 +123,17 @@ def multi_gpu_peel(
     cfg = variant if isinstance(variant, VariantConfig) else get_variant(variant)
     spec = spec or DeviceSpec()
     opts = options or MultiGpuOptions()
-    sanitizer = None
-    if sanitize:
-        from repro.sanitize.racecheck import KernelSanitizer
-
-        sanitizer = KernelSanitizer()
-    algorithm = f"gpu-multi{num_devices}-{cfg.name}"
-    trackers = None
-    if memtrace:
-        from repro.memtrace.tracker import MemoryTracker
-
-        trackers = [
-            MemoryTracker(worker=f"gpu{d}") for d in range(num_devices)
-        ]
-        for mt in trackers:
-            mt.annotate(variant=cfg.name, algorithm=algorithm)
-
-    def _memtrace_report() -> "MemtraceReport | None":
-        if trackers is None:
-            return None
-        from repro.memtrace.report import MemtraceReport
-
-        return MemtraceReport.from_trackers(
-            trackers, algorithm=algorithm, variant=cfg.name
-        )
-
+    run = HostRun(
+        cfg, f"gpu-multi{num_devices}-{cfg.name}", engine=engine,
+        sanitize=sanitize, memtrace=memtrace, critpath=critpath,
+    )
+    devices = run.workers(num_devices, spec=spec, cost_model=cost_model)
+    run.arm(graph)
     n = graph.num_vertices
     if n == 0:
-        if trackers is not None:
-            for mt in trackers:
-                mt.finish(0.0)
-        return DecompositionResult(
-            core=np.empty(0, dtype=np.int64),
-            algorithm=algorithm,
-            sanitizer=sanitizer.report if sanitizer is not None else None,
-            memtrace=_memtrace_report(),
-        )
+        return run.result(np.empty(0, dtype=np.int64))
 
     ranges = partition_ranges(graph, num_devices)
-    devices = [
-        Device(
-            spec=spec, cost_model=cost_model, sanitizer=sanitizer,
-            memtracer=trackers[d] if trackers is not None else None,
-            engine=engine, name=f"gpu{d}", profile=critpath,
-        )
-        for d in range(num_devices)
-    ]
     workers = []
     for d, (lo, hi) in enumerate(ranges):
         device = devices[d]
@@ -194,7 +155,6 @@ def multi_gpu_peel(
             ),
             "tails": device.malloc("buf_tails", spec.default_grid_dim),
             "count": device.malloc("gpu_count", 1),
-            "collected": 0,
         })
 
     capacity = spec.block_buffer_capacity
@@ -202,7 +162,6 @@ def multi_gpu_peel(
     grid_dim = spec.default_grid_dim
     cost = devices[0].cost_model
     coordinator_cycles = 0.0
-    raw_rounds: list[dict] = []  # per sub-round cost terms for critpath
     alive = np.ones(n, dtype=bool)
     master_deg = graph.degrees.astype(np.int64).copy()
     removed = 0
@@ -215,9 +174,7 @@ def multi_gpu_peel(
                 f"multi-GPU peeling stalled at round {k} "
                 f"({removed}/{n} removed)"
             )
-        if trackers is not None:
-            for mt in trackers:
-                mt.set_round(k)
+        run.begin_round(k)
         while True:  # sub-rounds of round k
             # master: the current k-shell frontier (clamping guarantees
             # alive degrees never sit below k)
@@ -293,7 +250,7 @@ def multi_gpu_peel(
             if worker_cycles:
                 coordinator_cycles += max(worker_cycles)
             if critpath:
-                raw_rounds.append({
+                run.subrounds.append({
                     "k": k,
                     "frontier": int(frontier.size),
                     "filter_cycles": filter_cycles,
@@ -304,40 +261,8 @@ def multi_gpu_peel(
                 })
         k += 1
 
-    core = master_deg
-    cost = devices[0].cost_model
-    total_ms = cost.cycles_to_ms(coordinator_cycles)
-    cpath_report = None
-    if critpath:
-        from repro.obs.critpath import build_multi_critpath
-        from repro.staticheck.bounds import launch_env
-
-        cpath_report = build_multi_critpath(
-            algorithm=algorithm,
-            variant=cfg.name,
-            num_devices=num_devices,
-            rounds=raw_rounds,
-            elapsed_ms=total_ms,
-            spec=spec,
-            cost=cost,
-            transfer_cycles_per_word=opts.transfer_cycles_per_word,
-            reduce_cycles_per_word=opts.reduce_cycles_per_word,
-            worker_names=[d.name for d in devices],
-            cfg=cfg,
-            env=launch_env(
-                n, len(graph.neighbors), graph.max_degree, spec, cfg, None
-            ),
-        )
-    if trackers is not None:
-        for d, device in enumerate(devices):
-            device.free_all()
-            trackers[d].set_round(None)
-            trackers[d].finish(device.elapsed_ms)
-    return DecompositionResult(
-        core=core,
-        algorithm=algorithm,
-        simulated_ms=total_ms,
-        peak_memory_bytes=max(d.peak_memory_bytes for d in devices),
+    return run.result(
+        master_deg,
         rounds=k,
         stats={
             "engine": devices[0].engine.name,
@@ -347,7 +272,6 @@ def multi_gpu_peel(
             "per_device_ms": [d.elapsed_ms for d in devices],
             "per_device_peak_bytes": [d.peak_memory_bytes for d in devices],
         },
-        sanitizer=sanitizer.report if sanitizer is not None else None,
-        memtrace=_memtrace_report(),
-        critpath=cpath_report,
+        simulated_ms=cost.cycles_to_ms(coordinator_cycles),
+        exchange=opts,
     )

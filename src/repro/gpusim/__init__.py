@@ -11,7 +11,7 @@ P100 and what it preserves.  Public entry points:
   against (loads, stores, atomics, shared memory, warp primitives),
 * :func:`~repro.gpusim.engine.get_engine` /
   :func:`~repro.gpusim.engine.available_engines` — the pluggable
-  execution engines (``"reference"``, ``"vectorized"``, ``"jit"``);
+  execution engines (``"reference"``, ``"vectorized"``);
   see ``docs/SIMULATOR.md`` for the architecture.
 """
 
@@ -22,7 +22,6 @@ from repro.gpusim.engine import (
     DEFAULT_ENGINE,
     ExecutionEngine,
     FallbackToReference,
-    JitEngine,
     ReferenceEngine,
     VectorizedEngine,
     available_engines,
@@ -47,7 +46,6 @@ __all__ = [
     "ExecutionEngine",
     "FallbackToReference",
     "GlobalMemory",
-    "JitEngine",
     "KernelStats",
     "ReferenceEngine",
     "VectorizedEngine",

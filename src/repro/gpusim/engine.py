@@ -11,7 +11,7 @@ counters, the same array contents, the same Table V peaks.  Engines
 may only differ in host wall-clock time.  See ``docs/SIMULATOR.md``
 for the architecture and the equivalence argument.
 
-Three engines ship:
+Two engines ship:
 
 * ``reference`` — the warp-generator interpreter
   (:func:`~repro.gpusim.scheduler.run_kernel`).  Always available,
@@ -25,11 +25,6 @@ Three engines ship:
   the reference interpreter — per launch, before touching any device
   state — whenever exactness cannot be guaranteed structurally; see
   :meth:`VectorizedEngine.run` for the trigger list.
-* ``jit`` — the vectorized engine with numba-compiled inner helpers
-  when numba is importable.  When numba is absent (it is an optional
-  dependency), the engine *degrades gracefully* to plain vectorized
-  execution: construction succeeds, results are identical, only the
-  extra compilation speedup is missing.
 
 Hook contract
 -------------
@@ -57,8 +52,6 @@ test per hook — the same discipline as the tracer.
 from __future__ import annotations
 
 import dataclasses
-import importlib
-import importlib.util
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Dict, Mapping, Sequence, Tuple
 
@@ -74,7 +67,6 @@ __all__ = [
     "DEFAULT_ENGINE",
     "ExecutionEngine",
     "FallbackToReference",
-    "JitEngine",
     "ReferenceEngine",
     "VectorLaunch",
     "VectorizedEngine",
@@ -109,9 +101,6 @@ class VectorLaunch:
     ``args``/``kwargs`` are the kernel arguments exactly as the caller
     passed them to :meth:`~repro.gpusim.device.Device.launch`; the
     executor binds them against the kernel signature itself.
-    ``use_jit`` asks the executor to prefer numba-compiled inner
-    helpers when numba is importable (the ``jit`` engine tier); the
-    flag never changes results, only host speed.
     """
 
     spec: DeviceSpec
@@ -122,7 +111,6 @@ class VectorLaunch:
     kwargs: Mapping[str, Any] = field(default_factory=dict)
     collect_timings: bool = False
     memtracker: "MemoryTracker | None" = None
-    use_jit: bool = False
 
 
 #: a launch-level executor: consumes a :class:`VectorLaunch`, performs
@@ -249,7 +237,6 @@ class VectorizedEngine(ReferenceEngine):
     """
 
     name = "vectorized"
-    _use_jit = False
 
     def run(
         self,
@@ -280,7 +267,6 @@ class VectorizedEngine(ReferenceEngine):
             spec=spec, cost=cost, grid_dim=grid_dim, block_dim=block_dim,
             args=tuple(args), kwargs=dict(kwargs or {}),
             collect_timings=collect_timings, memtracker=memtracker,
-            use_jit=self._use_jit,
         )
         try:
             stats = impl(launch)
@@ -296,26 +282,9 @@ class VectorizedEngine(ReferenceEngine):
             )
 
 
-class JitEngine(VectorizedEngine):
-    """The vectorized engine with optional numba-compiled helpers.
-
-    numba is an *optional* dependency: when it is not importable,
-    construction still succeeds and the engine behaves exactly like
-    ``vectorized`` (``jit_active`` is False).  Results are identical
-    either way — the JIT tier only changes host wall-clock time.
-    """
-
-    name = "jit"
-    _use_jit = True
-
-    def __init__(self) -> None:
-        self.jit_active = importlib.util.find_spec("numba") is not None
-
-
 _ENGINES: Dict[str, Callable[[], ExecutionEngine]] = {
     "reference": ReferenceEngine,
     "vectorized": VectorizedEngine,
-    "jit": JitEngine,
 }
 
 _CACHE: Dict[str, ExecutionEngine] = {}

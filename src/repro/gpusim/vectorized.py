@@ -16,9 +16,7 @@ that are kernel-agnostic:
 * the end-of-launch fold from per-warp accumulators and per-block
   :class:`~repro.gpusim.costmodel.BlockTiming` records into a
   :class:`~repro.gpusim.scheduler.KernelStats`, mirroring
-  :func:`~repro.gpusim.scheduler.run_kernel`'s epilogue;
-* optional numba compilation (:func:`maybe_jit`) for the ``jit``
-  engine tier, degrading to the plain function when numba is absent.
+  :func:`~repro.gpusim.scheduler.run_kernel`'s epilogue.
 
 Why bit-for-bit equality is attainable with batch sums: every cycle
 term the context accumulates (``1`` per instruction, ``14`` per
@@ -34,7 +32,7 @@ under every engine.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence, Tuple, TypeVar
+from typing import Sequence
 
 import numpy as np
 
@@ -47,8 +45,6 @@ __all__ = [
     "assemble_stats",
     "contiguous_transactions",
     "grouped_distinct_segments",
-    "jit_available",
-    "maybe_jit",
     "scattered_transactions",
 ]
 
@@ -140,39 +136,3 @@ def assemble_stats(
         ),
         block_timings=tuple(timings) if collect_timings else None,
     )
-
-
-_F = TypeVar("_F", bound=Callable[..., Any])
-
-_NUMBA_CHECKED = False
-_NUMBA_NJIT: "Callable[..., Any] | None" = None
-
-
-def jit_available() -> bool:
-    """True when numba is importable (the ``jit`` tier can compile)."""
-    global _NUMBA_CHECKED, _NUMBA_NJIT
-    if not _NUMBA_CHECKED:
-        _NUMBA_CHECKED = True
-        try:  # optional dependency — never required
-            from numba import njit  # type: ignore[import-not-found]
-
-            _NUMBA_NJIT = njit
-        except Exception:
-            _NUMBA_NJIT = None
-    return _NUMBA_NJIT is not None
-
-
-def maybe_jit(fn: _F, use_jit: bool) -> _F:
-    """Return a numba-compiled ``fn`` when requested *and* possible.
-
-    The ``jit`` engine passes ``use_jit=True`` through
-    :class:`~repro.gpusim.engine.VectorLaunch`; when numba is absent
-    the original function is returned unchanged, so the tier degrades
-    gracefully instead of failing.  Compilation must never change
-    results — only host wall-clock time.
-    """
-    if not use_jit or not jit_available():
-        return fn
-    assert _NUMBA_NJIT is not None
-    compiled: _F = _NUMBA_NJIT(cache=False)(fn)
-    return compiled

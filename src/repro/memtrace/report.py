@@ -43,6 +43,7 @@ which is how ``result.memtrace`` is guaranteed to explain
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -370,7 +371,7 @@ def _check_worker(entry: Any, where: str, errors: List[str]) -> None:
     if not isinstance(allocations, list):
         errors.append(f"{where}: 'allocations' must be a list")
         allocations = []
-    alloc_names: Dict[str, Dict[str, Any]] = {}
+    alloc_names: Dict[str, List[Dict[str, Any]]] = {}
     for i, alloc in enumerate(allocations):
         if not isinstance(alloc, dict):
             errors.append(f"{where}: allocations[{i}] not an object")
@@ -406,23 +407,36 @@ def _check_worker(entry: Any, where: str, errors: List[str]) -> None:
             errors.append(
                 f"{where}: allocations[{i}].scope must be a string"
             )
-        alloc_names[alloc["name"]] = alloc
+        alloc_names.setdefault(alloc["name"], []).append(alloc)
     # every non-context breakdown entry must be a recorded allocation
-    # that was live at the peak timestamp, with matching bytes
+    # that was live at the peak timestamp, with matching bytes.  A name
+    # may be allocated, freed and allocated again (BFS's per-level
+    # frontier), so the entry refers to the record of its name live at
+    # the peak — or, when the peak's timestamp frees one and allocates
+    # the next, the live one with the entry's bytes
     peak_ts = peak.get("ts_ms")
+    ts = float(peak_ts) if _is_number(peak_ts) else math.inf
     for item in breakdown:
         if not isinstance(item, dict):
             continue
         name = item.get("name")
         if name == CONTEXT_NAME or not isinstance(name, str):
             continue
-        alloc = alloc_names.get(name)
-        if alloc is None:
+        records = alloc_names.get(name)
+        if not records:
             errors.append(
                 f"{where}: breakdown entry {name!r} has no allocation "
                 "record"
             )
             continue
+        live = [
+            a for a in records
+            if a["alloc_ms"] <= ts
+            and not (_is_number(a.get("free_ms")) and a["free_ms"] < ts)
+        ]
+        same_size = [a for a in live if a["bytes"] == item.get("bytes")]
+        # with none live, the liveness checks below reject the last one
+        alloc = (same_size or live or records)[-1]
         if alloc.get("bytes") != item.get("bytes"):
             errors.append(
                 f"{where}: breakdown entry {name!r} ({item.get('bytes')} B) "

@@ -20,6 +20,7 @@ from repro.core.bfs_kernel import bfs_bounds, gpu_bfs
 from repro.graph.csr import CSRGraph
 from repro.graph.examples import fig1_graph, path_graph, triangle
 from repro.graph.generators import erdos_renyi, random_tree
+from repro.obs.runreport import RunReport
 
 
 def reference_levels(graph: CSRGraph, source: int) -> np.ndarray:
@@ -50,6 +51,10 @@ def test_gpu_bfs_matches_host_reference(graph, source) -> None:
     result = gpu_bfs(graph, source)
     assert np.array_equal(result.core, reference_levels(graph, source))
     assert result.algorithm == "gpu-bfs"
+    # the per-level frontier is re-malloc'd with a new size each level;
+    # the memory telemetry must still explain the peak exactly
+    observed = gpu_bfs(graph, source, memtrace=True, profile=True)
+    assert RunReport.from_result(observed).validate() == []
 
 
 def test_gpu_bfs_counters_report_frontier_work() -> None:

@@ -46,6 +46,8 @@ class TestCorrectness:
 
         result = gpu_peel(CSRGraph.empty(0))
         assert result.num_vertices == 0
+        reported = gpu_peel(CSRGraph.empty(0), report=True)
+        assert reported.report.validate() == []
 
     def test_isolated_vertices_core_zero(self):
         from repro.graph.csr import CSRGraph

@@ -8,6 +8,7 @@ from repro.cpu.bz import bz_core_numbers
 from repro.errors import ReproError
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
+from repro.obs.runreport import RunReport
 from tests.conftest import assert_cores_equal
 
 
@@ -66,6 +67,9 @@ class TestCorrectness:
     def test_empty_graph(self):
         result = multi_gpu_peel(CSRGraph.empty(0), num_devices=2)
         assert result.num_vertices == 0
+        traced = multi_gpu_peel(CSRGraph.empty(0), num_devices=2,
+                                memtrace=True)
+        assert RunReport.from_result(traced).validate() == []
 
     def test_border_heavy_graph(self):
         """A graph whose dense core straddles the partition boundary —

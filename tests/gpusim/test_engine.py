@@ -14,7 +14,6 @@ from repro.gpusim.device import Device
 from repro.gpusim.engine import (
     DEFAULT_ENGINE,
     ExecutionEngine,
-    JitEngine,
     ReferenceEngine,
     VectorizedEngine,
     _VECTORIZED_KERNELS,
@@ -27,7 +26,7 @@ from repro.graph.examples import fig1_graph
 def test_available_engines_reference_first():
     names = available_engines()
     assert names[0] == "reference"
-    assert set(names) == {"reference", "vectorized", "jit"}
+    assert set(names) == {"reference", "vectorized"}
     assert DEFAULT_ENGINE in names
 
 
@@ -36,7 +35,6 @@ def test_get_engine_resolves_names_and_caches():
     assert isinstance(ref, ReferenceEngine)
     assert ref is get_engine("reference")  # cached singleton
     assert isinstance(get_engine("vectorized"), VectorizedEngine)
-    assert isinstance(get_engine("jit"), JitEngine)
 
 
 def test_get_engine_none_is_the_default():
@@ -56,18 +54,6 @@ def test_get_engine_unknown_name():
 
 def test_engine_repr_carries_name():
     assert "vectorized" in repr(get_engine("vectorized"))
-
-
-def test_jit_degrades_gracefully_without_numba():
-    """Construction succeeds with or without numba; name stays 'jit'."""
-    engine = JitEngine()
-    assert engine.name == "jit"
-    assert isinstance(engine.jit_active, bool)
-    graph, expected = fig1_graph()
-    result = gpu_peel(graph, engine=engine)
-    assert [int(c) for c in result.core] == [
-        expected[v] for v in range(graph.num_vertices)
-    ]
 
 
 def test_abstract_engine_run_is_not_implemented():

@@ -2,7 +2,9 @@
 
 import json
 
+from repro.core.bfs_kernel import gpu_bfs
 from repro.gpusim.device import Device
+from repro.graph.examples import fig1_graph
 from repro.memtrace import (
     MemoryTracker,
     MemtraceReport,
@@ -90,6 +92,32 @@ def test_validator_rejects_breakdown_entry_freed_before_peak():
     worker["peak"]["ts_ms"] = 1e9  # claims the peak happened at the end
     errors = validate_memtrace(record)
     assert any("freed before the peak" in e for e in errors)
+
+
+def bfs_report_json():
+    graph, _ = fig1_graph()
+    return gpu_bfs(graph, memtrace=True).memtrace.to_json()
+
+
+def test_reallocated_name_is_checked_against_the_record_live_at_the_peak():
+    """BFS mallocs a fresh ``frontier`` per level, with another size each
+    time; the peak's entry must match the allocation live at the peak,
+    not the last one of that name."""
+    record = bfs_report_json()
+    frontiers = [a for a in record["workers"][0]["allocations"]
+                 if a["name"] == "frontier"]
+    assert len({a["bytes"] for a in frontiers}) > 1
+    assert validate_memtrace(record) == []
+
+
+def test_validator_rejects_tampered_bytes_of_a_reallocated_name():
+    record = bfs_report_json()
+    peak = record["workers"][0]["peak"]
+    entry = next(e for e in peak["breakdown"] if e["name"] == "frontier")
+    entry["bytes"] += 4
+    errors = validate_memtrace(record)
+    assert any("'frontier'" in e and "disagrees with its allocation" in e
+               for e in errors)
 
 
 def test_validator_rejects_unknown_detector():

@@ -35,7 +35,7 @@ def test_memtrace_off_by_default(graph):
 
 
 def test_memtrace_via_options(graph):
-    result = gpu_peel(graph, options=GpuPeelOptions(memtrace=True))
+    result = gpu_peel(graph, options=GpuPeelOptions(seed=1), memtrace=True)
     assert result.memtrace is not None
 
 

@@ -4,10 +4,10 @@ The execution-engine contract (``docs/SIMULATOR.md``): every engine
 produces byte-identical simulated results — core numbers, simulated
 milliseconds, rounds, memory peaks, counters and stats — and may
 differ only in host wall-clock time.  The reference interpreter is
-ground truth; these properties pin the vectorized engine (and the
-gracefully-degrading jit tier) against it on generated graphs across
-every kernel variant, including the ones the vectorized engine serves
-via structural fallback (``vw2``/``vw4``, ring buffers).
+ground truth; these properties pin the vectorized engine against it
+on generated graphs across every kernel variant, including the ones
+the vectorized engine serves via structural fallback (``vw2``/``vw4``,
+ring buffers).
 """
 
 from __future__ import annotations
@@ -15,9 +15,10 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.host import GpuPeelOptions, gpu_peel
+from repro.core.host import gpu_peel
 from repro.core.multigpu import multi_gpu_peel
 from repro.core.variants import EXTENSION_VARIANTS, VARIANTS
+from repro.gpusim.device import Device
 from repro.graph import generators as gen
 
 ALL_VARIANTS = tuple(VARIANTS) + tuple(EXTENSION_VARIANTS)
@@ -76,16 +77,6 @@ def test_vectorized_matches_reference_byte_for_byte(graph, variant):
     assert "engine.vectorized" in vec.counters
 
 
-@given(graphs(), st.sampled_from(("ours", "sm", "vp", "ec", "bc+sm")))
-@settings(max_examples=8, deadline=None)
-def test_jit_engine_matches_reference(graph, variant):
-    """jit degrades gracefully without numba; results stay identical."""
-    ref = gpu_peel(graph, variant=variant, engine="reference")
-    jit = gpu_peel(graph, variant=variant, engine="jit")
-    assert_byte_identical(ref, jit)
-    assert jit.stats["engine"] == "jit"
-
-
 @given(graphs(), st.sampled_from(("ours", "vp", "ec+sm")))
 @settings(max_examples=8, deadline=None)
 def test_engines_agree_under_observability_hooks(graph, variant):
@@ -113,10 +104,8 @@ def test_multi_gpu_peel_is_engine_invariant(graph, num_devices):
 @given(graphs())
 @settings(max_examples=6, deadline=None)
 def test_options_engine_equals_argument_engine(graph):
-    """GpuPeelOptions.engine and the gpu_peel argument are one knob."""
-    via_options = gpu_peel(
-        graph, options=GpuPeelOptions(engine="reference")
-    )
+    """A pre-built device's engine and the gpu_peel argument are one knob."""
+    via_options = gpu_peel(graph, device=Device(engine="reference"))
     via_argument = gpu_peel(graph, engine="reference")
     assert_byte_identical(via_options, via_argument)
     assert via_options.stats["engine"] == "reference"

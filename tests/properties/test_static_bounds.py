@@ -38,7 +38,6 @@ def peel_setups(draw):
         variant=variant,
         preempt_prob=draw(st.sampled_from([0.0, 0.3])),
         seed=draw(st.integers(min_value=0, max_value=1000)),
-        staticheck=True,
     )
     return graph, options
 
@@ -47,7 +46,7 @@ def peel_setups(draw):
 @settings(max_examples=14, deadline=None)
 def test_static_bounds_dominate_dynamic_stats(setup):
     graph, options = setup
-    result = gpu_peel(graph, options=options)
+    result = gpu_peel(graph, options=options, staticheck=True)
     report = result.staticheck
     assert report is not None
     assert report.clean, report.summary(label="staticheck")
@@ -59,8 +58,8 @@ def test_static_bounds_dominate_dynamic_stats(setup):
 @settings(max_examples=10, deadline=None)
 def test_staticheck_never_perturbs_simulated_time(setup):
     graph, options = setup
-    checked = gpu_peel(graph, options=options)
-    plain = gpu_peel(graph, options=options, staticheck=False)
+    checked = gpu_peel(graph, options=options, staticheck=True)
+    plain = gpu_peel(graph, options=options)
     assert plain.staticheck is None
     assert checked.simulated_ms == plain.simulated_ms
     assert checked.counters == plain.counters

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.host import GpuPeelOptions, gpu_peel
+from repro.core.host import gpu_peel
 from repro.core.variants import EXTENSION_VARIANTS, VARIANTS, get_variant
 from repro.errors import ReproError
 from repro.gpusim.device import Device
@@ -174,7 +174,7 @@ class TestDifferentialChecker:
 
 def test_options_staticheck_flag_is_honoured():
     graph = gen.erdos_renyi(60, 4.0, seed=1)
-    result = gpu_peel(graph, options=GpuPeelOptions(staticheck=True))
+    result = gpu_peel(graph, staticheck=True)
     assert result.staticheck is not None
     assert result.staticheck.clean
     plain = gpu_peel(graph)

@@ -51,6 +51,13 @@ class TestRunProgram:
         # schedule fuzzing may or may not shift cells around; std >= 0
         assert outcome.simulated_ms_std >= 0.0
 
+    def test_multi_gpu_repeats_rerun_unfuzzed(self):
+        # the multi-GPU runner takes no GpuPeelOptions (and no schedule
+        # fuzzing), so its repeats are identical
+        outcome = run_program("gpu-multi2", "amazon0601", repeats=2)
+        assert outcome.status == "ok"
+        assert outcome.simulated_ms_std == 0.0
+
     def test_no_budget(self):
         outcome = run_program("bz", "amazon0601", budget_ms=None)
         assert outcome.status == "ok"

@@ -96,6 +96,28 @@ def test_sanitize_unsupported_algorithm(tmp_path, capsys):
     assert "--sanitize" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, supported", [
+    (["--sanitize"], "SANITIZABLE"),
+    (["--staticheck"], "STATICHECKABLE"),
+    (["--dataflow"], "DATAFLOWABLE"),
+    (["--ncu"], "PROFILABLE"),
+    (["--engine", "reference"], "ENGINEABLE"),
+    (["--memtrace"], "MEMTRACEABLE"),
+    (["--critpath"], "CRITPATHABLE"),
+])
+def test_every_unsupported_flag_exits_2(tmp_path, capsys, flags, supported):
+    import repro.api
+
+    path = tmp_path / "g.txt"
+    path.write_text("0 1\n1 2\n0 2\n")
+    assert main(["--input", str(path), "--algorithm", "bz", *flags]) == 2
+    names = ", ".join(sorted(getattr(repro.api, supported)))
+    assert capsys.readouterr().err == (
+        f"error: algorithm 'bz' does not support {flags[0]} "
+        f"(supported: {names})\n"
+    )
+
+
 def test_staticheck_without_source_dumps_certificates(capsys):
     assert main(["--staticheck"]) == 0
     out = capsys.readouterr().out
