@@ -23,15 +23,25 @@ the executor replays the reference FIFO scheduler exactly — but at
 of a generator resumption.  The expensive part of a turn (a warp's
 whole adjacency sweep) is deferred into an ordered *event* list and
 batched: when a block next reads its buffer tail ``e``, all pending
-events are flushed in emission order with one numpy pass.  Candidacy
-has a closed form under that order: the first ``deg0(u) - k`` touches
-of a vertex ``u`` decrement it, and the touch with rank
-``deg0(u) - k - 1`` observes ``k + 1`` and appends ``u`` (the
-``newly`` set of Alg. 3 Line 22).  This is exact because, with no
-preemption, a warp's read -> atomicSub window never interleaves
-(events are atomic in the schedule), which also means the Fig. 6
-restore path cannot fire — unless an adjacency list contains duplicate
-neighbors, a case the executor detects up front and declines.
+events are flushed in emission order.  Candidacy has a closed form
+under that order: the first ``deg0(u) - k`` touches of a vertex ``u``
+decrement it, and the touch with rank ``deg0(u) - k - 1`` observes
+``k + 1`` and appends ``u`` (the ``newly`` set of Alg. 3 Line 22).
+This is exact because, with no preemption, a warp's read -> atomicSub
+window never interleaves (events are atomic in the schedule), which
+also means the Fig. 6 restore path cannot fire — unless an adjacency
+list contains duplicate neighbors, a case the executor detects up
+front and declines.
+
+A flush does only the data-dependent work: resolve the frontier
+vertices, apply the decrements, find the trips with candidates, and
+append the newly dead vertices.  Large batches run one numpy batch
+kernel (the rank closed form); small ones replay event by event.
+Every charge of a sweep that depends only on the CSR — trip counts,
+the ``neighbors``/``deg`` load transactions, lane totals — comes from
+per-CSR trip tables; the rest is logged as rows and folded into the
+accounting once per launch.  Both are exact because every charge is a
+dyadic sum, so neither the fold's order nor its grouping matters.
 
 Fallback discipline
 -------------------
@@ -54,7 +64,7 @@ fire the same memtracker callbacks, and raise the same
 The executors assume the CSR arrays (``offsets``/``neighbors``) are
 immutable for the lifetime of the :class:`~repro.gpusim.memory.DeviceArray`
 objects — true for every host program in this repository — so the
-duplicate-neighbor pre-check can be cached per array pair.
+duplicate-neighbor guard and the trip tables are cached per array pair.
 """
 
 from __future__ import annotations
@@ -78,7 +88,6 @@ from repro.gpusim.scheduler import KernelStats
 from repro.gpusim.vectorized import (
     assemble_stats,
     contiguous_transactions,
-    grouped_distinct_segments,
 )
 
 __all__ = ["register"]
@@ -270,56 +279,6 @@ def _expand_edges(
     base = _exclusive_cumsum(degs)
     off = np.arange(total, dtype=np.int64) - base[eid]
     return eid, off, starts[eid] + off
-
-
-def _adjacency_has_duplicates(
-    offsets: DeviceArray, neighbors: DeviceArray
-) -> bool:
-    """True when any vertex's adjacency slice repeats a neighbor.
-
-    Cached on the ``neighbors`` array (CSR arrays are immutable in
-    every host program here); the cache key ties it to the paired
-    ``offsets`` array so multi-GPU slices don't collide.
-    """
-    key = (id(offsets), offsets.data.size, neighbors.data.size)
-    cached = getattr(neighbors, "_fastsim_dup", None)
-    if cached is not None and cached[0] == key:
-        return bool(cached[1])
-    offs = offsets.data
-    nbrs = neighbors.data
-    nv = offs.size - 1
-    if nbrs.size < 2 or nv <= 0:
-        dup = False
-    else:
-        # fast path: consecutive-pair diffs, masking out pairs that
-        # straddle a slice boundary.  A zero diff inside a slice is a
-        # duplicate outright; strictly increasing slices (the common
-        # sorted-CSR case) can hold none.  Only unsorted slices need
-        # the full lexsort.
-        d = np.diff(nbrs)
-        idx = offs[1:-1] - 1
-        d[idx[(idx >= 0) & (idx < d.size)]] = 1  # neutralise boundaries
-        if bool(np.any(d == 0)):
-            dup = True
-        elif bool(np.all(d > 0)):
-            dup = False
-        else:
-            vid = np.repeat(
-                np.arange(nv, dtype=np.int64), np.diff(offs)
-            )
-            # per-vertex duplicate test: sort (vertex, neighbor) pairs
-            # and look for equal consecutive pairs
-            order = np.lexsort((nbrs, vid))
-            sv = vid[order]
-            sn = nbrs[order]
-            dup = bool(
-                np.any((sv[1:] == sv[:-1]) & (sn[1:] == sn[:-1]))
-            )
-    try:
-        setattr(neighbors, "_fastsim_dup", (key, dup))
-    except Exception:  # frozen/slots array: just skip the cache
-        pass
-    return dup
 
 
 def _bind(
@@ -705,6 +664,110 @@ _LOOP_PARAMS = (
     "capacity", "shared_capacity", "cfg", "own_range",
 )
 
+#: CSR entries per slice of the table build: bounds its temporaries
+#: by a constant instead of by the edge count
+_TABLE_CHUNK = 1 << 15
+
+
+class _CSRTables:
+    """The loop replay's per-CSR facts: adjacency shape and sweep charges.
+
+    Everything a warp's Lines 13-20 sweep of one frontier vertex costs,
+    except the Line 21 atomic and the appends, depends only on the
+    vertex's adjacency slice — not on degrees, frontier, or schedule.
+    So it is computed once per CSR, per *local* vertex index ``rel``:
+
+    * ``ntrips`` — 32-lane trips of the sweep;
+    * ``trans`` — 128-byte transactions of the bounds load (two
+      ``offsets`` words), every trip's ``neighbors`` load, and every
+      trip's scattered ``deg`` load (distinct 32-word segments among
+      the trip's neighbor ids);
+    * ``lanes`` — active lanes of those loads, ``2 + 2 * degree``.
+
+    ``duplicates`` is the launch-level guard (a repeated neighbor in a
+    slice can fire the Fig. 6 restore path); ``sorted`` says every
+    slice is strictly increasing, so a trip's candidates share a
+    32-word segment only when adjacent.  The build walks the CSR in
+    slices of :data:`_TABLE_CHUNK` entries.
+    """
+
+    __slots__ = ("duplicates", "sorted", "ntrips", "trans", "lanes")
+
+    def __init__(self, offs: np.ndarray, nbrs: np.ndarray) -> None:
+        nv = offs.size - 1
+        degree = np.diff(offs)
+        self.ntrips = -(-degree // 32)
+        self.lanes = 2 + 2 * degree
+        self.trans = 1 + (np.arange(nv, dtype=np.int64) % 32 == 31)
+        self.duplicates = False
+        self.sorted = True
+        v0 = 0
+        while v0 < nv:
+            v1 = int(np.searchsorted(
+                offs, offs[v0] + _TABLE_CHUNK, side="right")) - 1
+            v1 = min(max(v1, v0 + 1), nv)
+            if offs[v1] > offs[v0]:
+                self._sweep(offs, nbrs, v0, v1)
+            v0 = v1
+
+    def _sweep(
+        self, offs: np.ndarray, nbrs: np.ndarray, v0: int, v1: int
+    ) -> None:
+        s, e = int(offs[v0]), int(offs[v1])
+        nb = nbrs[s:e]
+        vid = np.repeat(np.arange(v1 - v0), np.diff(offs[v0 : v1 + 1]))
+        pos = np.arange(s, e, dtype=np.int64)
+        lane = pos - offs[v0:v1][vid]
+        trip_start = lane % 32 == 0
+        step = np.diff(nb)[lane[1:] != 0]  # neighbor pairs inside a slice
+        if bool(np.any(step == 0)):
+            self.duplicates = True
+        sorted_here = bool(np.all(step > 0))
+        # neighbors load: a trip opens a transaction, and so does every
+        # 32-word boundary it crosses
+        new_tx = trip_start | (pos % 32 == 0)
+        seg = nb >> 5
+        if sorted_here:
+            # deg load: equal segments are adjacent in a sorted trip
+            new_seg = trip_start.copy()
+            new_seg[1:] |= seg[1:] != seg[:-1]
+            weight = new_tx.astype(np.int64) + new_seg
+        else:
+            self.sorted = False
+            trip = np.cumsum(trip_start) - 1
+            stride = int(seg.max()) + 1
+            pairs = np.unique(trip * stride + seg)
+            if not self.duplicates:
+                self.duplicates = bool(
+                    np.unique(vid * (stride * 32) + nb).size
+                    < nb.size
+                )
+            weight = new_tx.astype(np.int64)
+            np.add.at(weight, np.flatnonzero(trip_start)[pairs // stride], 1)
+        self.trans[v0:v1] += np.bincount(
+            vid, weights=weight, minlength=v1 - v0
+        ).astype(np.int64)
+
+
+def _csr_tables(offsets: DeviceArray, neighbors: DeviceArray) -> _CSRTables:
+    """The cached :class:`_CSRTables` of one CSR array pair.
+
+    Cached on the ``neighbors`` array (CSR arrays are immutable in
+    every host program here); the cache key ties it to the paired
+    ``offsets`` array so multi-GPU slices don't collide.
+    """
+    key = (id(offsets), offsets.data.size, neighbors.data.size)
+    cached = getattr(neighbors, "_fastsim_csr", None)
+    if cached is not None and cached[0] == key:
+        return cached[1]  # type: ignore[no-any-return]
+    tables = _CSRTables(offsets.data, neighbors.data)
+    try:
+        setattr(neighbors, "_fastsim_csr", (key, tables))
+    except AttributeError:  # slotted array: just skip the cache
+        pass
+    return tables
+
+
 class _LoopBlock:
     """Per-block replay state (the kernel's shared scalars)."""
 
@@ -713,7 +776,7 @@ class _LoopBlock:
         "head_s", "head_e", "head_pn", "pending", "pref",
     )
 
-    def __init__(self, idx: int, warps: int) -> None:
+    def __init__(self, idx: int) -> None:
         self.idx = idx
         self.s = 0
         self.e = 0
@@ -728,11 +791,69 @@ class _LoopBlock:
         self.pref: Tuple[np.ndarray, np.ndarray] | None = None
 
 
-class _LoopRun:
-    """One loop-kernel launch being replayed; owns staging + events."""
+class _Rows:
+    """A log of fixed-width int rows, folded once per launch.
 
-    def __init__(self, launch: VectorLaunch, bound: Dict[str, Any]) -> None:
+    The event-by-event kernel appends flat Python rows; the batch
+    kernel copies its row blocks into one array grown by doubling, so
+    a launch's log never becomes thousands of small arrays alive among
+    the batches' temporaries (that pins freed heap: about 4 MB more
+    peak RSS on the hostbench ``bulk-ba`` workload).
+    """
+
+    __slots__ = ("width", "flat", "block", "size")
+
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self.flat: List[int] = []
+        self.block = np.empty((0, width), dtype=np.int64)
+        self.size = 0
+
+    def extend(self, rows: np.ndarray) -> None:
+        """Append a ``(n, width)`` array of rows."""
+        end = self.size + rows.shape[0]
+        if end > self.block.shape[0]:
+            grown = np.empty(
+                (max(end, 2 * self.block.shape[0]), self.width), np.int64
+            )
+            grown[: self.size] = self.block[: self.size]
+            self.block = grown
+        self.block[self.size : end] = rows
+        self.size = end
+
+    def table(self) -> np.ndarray:
+        """Every row logged, as one ``(rows, width)`` array."""
+        flat = np.asarray(self.flat, dtype=np.int64).reshape(-1, self.width)
+        if not self.size:
+            return flat
+        return np.concatenate([flat, self.block[: self.size]])
+
+
+class _LoopRun:
+    """One loop-kernel launch being replayed; owns staging + events.
+
+    A pending *event* is one warp's sweep of one frontier vertex:
+    ``ev_gwid`` names the warp and ``ev_item`` the buffer slot it
+    read (fetch loop) or the prefetched vertex itself (VP).  A flush
+    kernel executes the batch and appends each charge's data-dependent
+    inputs to three :class:`_Rows` logs, folded once per launch by
+    :func:`_fold_charges`:
+
+    * ``ev_rows`` — ``(gwid, rel, read)`` per event; ``read`` is the
+      buffer read kind (:data:`_READ_VALUE`, ...), ``rel`` indexes
+      the :class:`_CSRTables` holding the sweep's charges;
+    * ``cand_rows`` — ``(gwid, lanes, transactions)`` per trip with
+      Line 21 candidates;
+    * ``append_rows`` — ``(gwid, count, shared, global_tx)`` per trip
+      appending newly dead vertices (``shared`` of them into the SM
+      window, the rest with ``global_tx`` transactions).
+    """
+
+    def __init__(
+        self, launch: VectorLaunch, bound: Dict[str, Any], tables: _CSRTables
+    ) -> None:
         self.launch = launch
+        self.tables = tables
         self.cfg: VariantConfig = bound["cfg"]
         self.k = int(bound["k"])
         self.offsets: DeviceArray = bound["offsets"]
@@ -742,7 +863,10 @@ class _LoopRun:
         self.tails: DeviceArray = bound["tails"]
         self.gpu_count: DeviceArray = bound["gpu_count"]
         self.capacity = int(bound["capacity"])
-        self.shared_capacity = int(bound["shared_capacity"])
+        self.shared_capacity = (
+            int(bound["shared_capacity"]) if self.cfg.shared_buffer else 0
+        )
+        self.effective = self.capacity + self.shared_capacity
         self.own_range: Optional[Tuple[int, int]] = bound["own_range"]
         self.base = self.own_range[0] if self.own_range is not None else 0
         self.grid = launch.grid_dim
@@ -752,648 +876,351 @@ class _LoopRun:
         self.staged = _StagedArrays()
         self.deg_staged = self.staged.data(self.deg)
         self.buf_staged = self.staged.data(self.buf)
-        # scalar-flush support: the staged degree array doubles as a
-        # Python list (built lazily, kept authoritative between vector
-        # flushes) when the CSR is small enough for list mirroring
-        self.scalar_ok = (
-            self.offsets.data.size <= 200_000
-            and self.neighbors.data.size <= 2_000_000
-        )
-        self.deg_list: Optional[List[int]] = None
-        self.blocks = [_LoopBlock(i, self.warps) for i in range(self.grid)]
-        # pending events, in emission order
-        self.ev_block: List[int] = []
+        # the SM windows "B" of every block, flat (block * scap + slot)
+        self.window = np.zeros(self.grid * self.shared_capacity, np.int64)
+        self.blocks = [_LoopBlock(i) for i in range(self.grid)]
         self.ev_gwid: List[int] = []
-        self.ev_slot: List[int] = []  # -1 for value events (VP)
-        self.ev_value: List[int] = []
-
-    # -- event plumbing -------------------------------------------------
-
-    def emit(self, block: _LoopBlock, gwid: int, slot: int, value: int) -> None:
-        self.ev_block.append(block.idx)
-        self.ev_gwid.append(gwid)
-        self.ev_slot.append(slot)
-        self.ev_value.append(value)
-        block.pending += 1
+        self.ev_item: List[int] = []
+        self.ev_rows = _Rows(3)
+        self.cand_rows = _Rows(3)
+        self.append_rows = _Rows(4)
 
     def flush(self) -> None:
-        if not self.ev_block:
-            return
-        if not _try_flush_scalar(self):
-            _flush_events(self)
-        self.ev_block.clear()
+        if len(self.ev_gwid) < _BATCH_EVENTS:
+            _flush_scalar(self)
+        else:
+            _flush_batch(self)
         self.ev_gwid.clear()
-        self.ev_slot.clear()
-        self.ev_value.clear()
+        self.ev_item.clear()
         for block in self.blocks:
             block.pending = 0
 
 
-def _resolve_slot_events(
-    run: _LoopRun, ev_block: np.ndarray, ev_gwid: np.ndarray
-) -> np.ndarray:
-    """Resolve buffer reads for slot events + charge the read costs.
+#: buffer read kinds of an event: none (VP prefetched the value), a
+#: plain one-word gload, an SM read served by the shared window, an SM
+#: read shifted past the window into global memory
+_READ_VALUE, _READ_GLOBAL, _READ_WINDOW, _READ_SPILL = range(4)
 
-    Per-warp/per-block charges are folded with ``np.bincount`` rather
-    than ``np.ufunc.at`` — both sum the same exact dyadic values, so
-    the totals are bit-identical, but ``bincount`` is far cheaper on
-    the small index sets a flush batch produces.
+#: batches of at least this many events run the numpy batch kernel;
+#: below it the kernel's fixed numpy dispatch costs more than replaying
+#: the batch event by event (the two cross between 32 and 48 events on
+#: the hostbench ``hub-skew`` and ``bulk-ba`` batches)
+_BATCH_EVENTS = 40
+
+
+def _claim_slots(run: _LoopRun, gwid: int, nw: int) -> int:
+    """Reserve one trip's ``nw`` append slots at its block's tail.
+
+    Logs the trip's append row and returns the first slot (a logical
+    index: below ``e_init + scap`` it lives in the SM window, above it
+    shifts down by ``scap`` into the global buffer).
     """
-    acc = run.acc
-    grid = run.grid
-    nwarps = grid * run.warps
-    ev_slot = np.asarray(run.ev_slot, dtype=np.int64)
-    values = np.asarray(run.ev_value, dtype=np.int64)
-    is_slot = ev_slot >= 0
-    if not np.any(is_slot):
-        return values
-    sl_block = ev_block[is_slot]
-    sl_gwid = ev_gwid[is_slot]
-    sl_slot = ev_slot[is_slot]
-    if not run.cfg.shared_buffer:
-        # plain view.read: one dependent gload of one word
-        per_warp = np.bincount(sl_gwid, minlength=nwarps)
-        acc.issued += per_warp
-        acc.path += per_warp * (1.0 + run.launch.cost.global_load_latency)
-        per_block = np.bincount(sl_block, minlength=grid)
-        acc.mem_transactions += per_block
-        acc.mem_accesses += per_block
-        acc.mem_active_lanes += per_block
-        acc.mem_ideal_transactions += per_block
-        values[is_slot] = run.buf_staged[sl_block * run.capacity + sl_slot]
-        return values
-    # SM view.read: e_init fetch + Fig. 7 translation, then shared or
-    # shifted-global access per event
-    e_init = np.asarray(
-        [run.blocks[i].e_init for i in range(run.grid)], dtype=np.int64
-    )[sl_block]
-    per_warp = np.bincount(sl_gwid, minlength=nwarps)
-    acc.issued += per_warp * 5.0  # smem_get + charge(4)
-    acc.path += per_warp * 5.0
-    scap = run.shared_capacity
-    in_shared = (sl_slot >= e_init) & (sl_slot < e_init + scap)
-    resolved = np.empty(sl_slot.size, dtype=np.int64)
-    if np.any(in_shared):
-        sh_warp = np.bincount(sl_gwid[in_shared], minlength=nwarps)
-        acc.issued += sh_warp  # sload
-        acc.path += sh_warp
-        sh_slots = sl_slot[in_shared] - e_init[in_shared]
-        sh_blocks = sl_block[in_shared]
-        resolved[in_shared] = np.asarray(
-            [
-                run.shared.arrays[blk]["B"][slot]
-                for blk, slot in zip(sh_blocks, sh_slots)
-            ],
-            dtype=np.int64,
-        ) if sh_blocks.size else np.zeros(0, dtype=np.int64)
-    out_shared = ~in_shared
-    if np.any(out_shared):
-        g = sl_gwid[out_shared]
-        blkk = sl_block[out_shared]
-        gl_warp = np.bincount(g, minlength=nwarps)
-        acc.issued += gl_warp
-        acc.path += gl_warp * (1.0 + run.launch.cost.global_load_latency)
-        gl_block = np.bincount(blkk, minlength=grid)
-        acc.mem_transactions += gl_block
-        acc.mem_accesses += gl_block
-        acc.mem_active_lanes += gl_block
-        acc.mem_ideal_transactions += gl_block
-        gpos = sl_slot[out_shared].copy()
-        gpos[gpos >= e_init[out_shared]] -= scap
-        if int(gpos.max(initial=0)) >= run.capacity:
-            raise FallbackToReference("loop buffer read overflow")
-        resolved[out_shared] = run.buf_staged[blkk * run.capacity + gpos]
-    values[is_slot] = resolved
-    return values
+    blk = run.blocks[gwid // run.warps]
+    loc = blk.e
+    if loc + nw > run.effective:
+        raise FallbackToReference("loop buffer overflow; reference raises")
+    blk.e = loc + nw
+    top = blk.e_init + run.shared_capacity
+    n_sh = min(max(top - loc, 0), nw)
+    run.append_rows.flat += (
+        gwid, nw, n_sh,
+        contiguous_transactions(
+            blk.idx * run.capacity + max(loc, top) - run.shared_capacity,
+            nw - n_sh,
+        ),
+    )
+    return loc
 
 
-#: flush batches touching at most this many edges take the scalar path
-_SCALAR_EDGE_LIMIT = 4096
+def _flush_scalar(run: _LoopRun) -> None:
+    """Replay a small flush batch event by event, trip by trip.
 
-
-def _scalar_list(array: DeviceArray, attr: str) -> List[int]:
-    """A device array as a cached Python list (scalar-read speed).
-
-    Only used for the CSR arrays, which no kernel writes; the cache is
-    keyed on size like the duplicate-adjacency cache.
+    This is the reference order itself (atomics serialised in lane
+    order), so it needs no closed form.  Assumes the launch-level
+    no-duplicate-adjacency guard: within one trip every touched vertex
+    is distinct, so a lane's atomic observes the pre-trip degree.
+    Device arrays are read and written through memoryviews, which
+    yield Python ints without a per-launch list copy.
     """
-    key = array.data.size
-    cached = getattr(array, attr, None)
-    if cached is not None and cached[0] == key:
-        return cached[1]  # type: ignore[no-any-return]
-    lst: List[int] = array.data.tolist()
-    try:
-        setattr(array, attr, (key, lst))
-    except AttributeError:
-        pass
-    return lst
-
-
-def _try_flush_scalar(run: _LoopRun) -> bool:
-    """Flush a small batch by direct sequential emulation.
-
-    A flush batch holds at most one event per warp (≤ 64), so most
-    batches sweep a few hundred edges — far below the scale where the
-    vectorised closed forms in :func:`_flush_events` pay for their
-    fixed numpy dispatch cost.  This path replays the batch the way
-    the reference interpreter does — event by event, trip by trip,
-    serialising the atomics in lane order — which is *trivially*
-    order-identical, and every charge is the same dyadic rational the
-    vector path folds, so the sums match bit for bit.
-
-    First a cost-free peek resolves the frontier vertices and sizes
-    the batch; batches over :data:`_SCALAR_EDGE_LIMIT` edges (or with
-    anything the peek cannot cheaply validate) return ``False`` and
-    fall through to the vector path, which also owns raising the
-    fallback errors with the correct charges applied.
-    """
-    if not run.scalar_ok:
-        return False
+    k = run.k
+    warps = run.warps
     cap = run.capacity
-    cfg = run.cfg
-    sm = cfg.shared_buffer
-    scap = run.shared_capacity if sm else 0
-    buf = run.buf_staged
-    # -- peek: resolve values + bounds without charging ----------------
-    vals: List[int] = []
-    if sm:
-        shared = run.shared.arrays
-        for b, slot, val in zip(run.ev_block, run.ev_slot, run.ev_value):
-            if slot < 0:
-                vals.append(val)
-                continue
-            e_init = run.blocks[b].e_init
-            if e_init <= slot < e_init + scap:
-                vals.append(int(shared[b]["B"][slot - e_init]))
-            else:
-                gpos = slot - scap if slot >= e_init else slot
-                if gpos >= cap:
-                    return False  # vector path raises the fallback
-                vals.append(int(buf[b * cap + gpos]))
-    else:
-        for b, slot, val in zip(run.ev_block, run.ev_slot, run.ev_value):
-            vals.append(val if slot < 0 else int(buf[b * cap + slot]))
-    offs = _scalar_list(run.offsets, "_fastsim_offs")
-    osz = len(offs)
+    scap = run.shared_capacity
     base = run.base
-    bounds: List[Tuple[int, int]] = []
-    total = 0
-    for v in vals:
+    deg = memoryview(run.deg_staged)
+    buf = memoryview(run.buf_staged)
+    window = memoryview(run.window)
+    offs = memoryview(run.offsets.data)
+    nbrs = memoryview(run.neighbors.data)
+    osz = len(offs)
+    lo, hi = run.own_range if run.own_range is not None else (0, len(deg))
+    prefetch = run.cfg.prefetch
+    sm = run.cfg.shared_buffer
+    ev_rows = run.ev_rows.flat
+    cand_rows = run.cand_rows.flat
+    blocks = run.blocks
+    for g, item in zip(run.ev_gwid, run.ev_item):
+        b = g // warps
+        if prefetch:
+            v, kind = item, _READ_VALUE
+        elif not sm:
+            v, kind = buf[b * cap + item], _READ_GLOBAL
+        else:
+            e_init = blocks[b].e_init
+            if e_init <= item < e_init + scap:
+                v, kind = window[b * scap + item - e_init], _READ_WINDOW
+            else:
+                gpos = item - scap if item >= e_init else item
+                if gpos >= cap:
+                    raise FallbackToReference("loop buffer read overflow")
+                v, kind = buf[b * cap + gpos], _READ_SPILL
         rel = v - base
         if rel < 0 or rel + 1 >= osz:
-            return False  # vector path raises the fallback
-        s = offs[rel]
-        e = offs[rel + 1]
-        bounds.append((s, e))
-        total += e - s
-    if total > _SCALAR_EDGE_LIMIT:
-        return False
-    _flush_scalar(run, vals, bounds)
-    return True
+            raise FallbackToReference("frontier vertex outside CSR slice")
+        ev_rows += (g, rel, kind)
+        end = offs[rel + 1]
+        for pos0 in range(offs[rel], end, 32):
+            cand: List[int] = []
+            newly: List[int] = []
+            for x in nbrs[pos0 : min(pos0 + 32, end)]:
+                du = deg[x]
+                if du > k:
+                    cand.append(x)
+                    deg[x] = du - 1
+                    if du == k + 1 and lo <= x < hi:
+                        newly.append(x)
+            if cand:
+                cand_rows += (g, len(cand), len({x >> 5 for x in cand}))
+            if newly:
+                loc = _claim_slots(run, g, len(newly))
+                e_init = blocks[b].e_init
+                for slot, x in enumerate(newly, loc):
+                    if slot < e_init + scap:
+                        window[b * scap + slot - e_init] = x
+                    else:
+                        buf[b * cap + slot - scap] = x
 
 
-def _flush_scalar(
-    run: _LoopRun, vals: List[int], bounds: List[Tuple[int, int]]
-) -> None:
-    """Sequential (reference-order) execution of a small flush batch.
+def _flush_batch(run: _LoopRun) -> None:
+    """Execute a large flush batch with array operations.
 
-    Assumes the launch-level no-duplicate-adjacency guard: within one
-    trip every touched vertex is distinct, so the pre-trip degree
-    snapshot is the value each lane's atomic observes.  Charges are
-    accumulated in Python scalars and folded into the accounting
-    arrays in one vector step per metric.
+    Candidacy has a closed form in the batch's emission order (see the
+    module docstring): the touch of ``u`` with rank ``r`` among all
+    touches of ``u`` decrements it iff ``r < deg0(u) - k``, and the
+    touch with rank ``deg0(u) - k - 1`` appends it.  Every charge that
+    depends only on the CSR is left to the tables; this kernel finds
+    the data-dependent rows — reads, candidate trips, append trips —
+    and writes the appended vertices.
+    """
+    warps = run.warps
+    cap = run.capacity
+    scap = run.shared_capacity
+    tables = run.tables
+    gwid = np.asarray(run.ev_gwid, dtype=np.int64)
+    item = np.asarray(run.ev_item, dtype=np.int64)
+    blk = gwid // warps
+    e_init = np.asarray([b.e_init for b in run.blocks], dtype=np.int64)
+    if run.cfg.prefetch:
+        v = item
+        kind = np.full(item.size, _READ_VALUE, dtype=np.int64)
+    elif not run.cfg.shared_buffer:
+        v = run.buf_staged[blk * cap + item]
+        kind = np.full(item.size, _READ_GLOBAL, dtype=np.int64)
+    else:
+        e0 = e_init[blk]
+        in_window = (item >= e0) & (item < e0 + scap)
+        spill = ~in_window
+        gpos = np.where(item >= e0, item - scap, item)[spill]
+        if int(gpos.max(initial=0)) >= cap:
+            raise FallbackToReference("loop buffer read overflow")
+        v = np.empty(item.size, dtype=np.int64)
+        v[in_window] = run.window[(blk * scap + item - e0)[in_window]]
+        v[spill] = run.buf_staged[blk[spill] * cap + gpos]
+        kind = np.where(in_window, _READ_WINDOW, _READ_SPILL)
+    rel = v - run.base
+    offs = run.offsets.data
+    if int(rel.min()) < 0 or int(rel.max()) + 1 >= offs.size:
+        raise FallbackToReference("frontier vertex outside CSR slice")
+    run.ev_rows.extend(np.column_stack((gwid, rel, kind)))
+    starts = offs[rel]
+    eid, lane, pos = _expand_edges(starts, offs[rel + 1] - starts)
+    if pos.size == 0:
+        return
+    u = run.neighbors.data[pos]
+    # global trip id of every touch, non-decreasing in emission order
+    trip = _exclusive_cumsum(tables.ntrips[rel])[eid] + (lane >> 5)
+
+    # -- candidacy by rank ---------------------------------------------
+    order = np.argsort(u, kind="stable")
+    first = _run_starts_mask(u[order])
+    idx = np.arange(u.size, dtype=np.int64)
+    rank = np.empty(u.size, dtype=np.int64)
+    rank[order] = idx - np.maximum.accumulate(np.where(first, idx, 0))
+    slack = run.deg_staged[u] - run.k
+    cand = np.flatnonzero(rank < slack)
+    newly = rank == slack - 1
+    if run.own_range is not None:
+        lo, hi = run.own_range
+        newly &= (u >= lo) & (u < hi)
+    np.subtract.at(run.deg_staged, u[cand], 1)
+
+    if cand.size:
+        # Line 21 transactions: distinct 32-word segments per trip
+        ct = trip[cand]
+        seg = u[cand] >> 5
+        brk = _run_starts_mask(ct)
+        starts_c = np.flatnonzero(brk)
+        if tables.sorted:
+            brk[1:] |= seg[1:] != seg[:-1]
+            tx = np.add.reduceat(brk, starts_c)
+        else:
+            stride = int(seg.max()) + 1
+            pairs = np.unique(ct * stride + seg) // stride
+            tx = np.bincount(pairs, minlength=int(ct[-1]) + 1)[ct[starts_c]]
+        run.cand_rows.extend(np.column_stack((
+            gwid[eid[cand[starts_c]]],
+            np.diff(np.append(starts_c, cand.size)),
+            tx,
+        )))
+
+    nsel = np.flatnonzero(newly)
+    if nsel.size:
+        starts_n = np.flatnonzero(_run_starts_mask(trip[nsel]))
+        counts = np.diff(np.append(starts_n, nsel.size))
+        writers = gwid[eid[nsel[starts_n]]]
+        locs = [
+            _claim_slots(run, g, n)
+            for g, n in zip(writers.tolist(), counts.tolist())
+        ]
+        slot = np.repeat(np.asarray(locs, dtype=np.int64) - starts_n, counts)
+        slot += np.arange(nsel.size, dtype=np.int64)
+        ap_blk = np.repeat(writers // warps, counts)
+        ap_u = u[nsel]
+        e0 = e_init[ap_blk]
+        in_window = slot < e0 + scap
+        run.window[(ap_blk * scap + slot - e0)[in_window]] = ap_u[in_window]
+        spill = ~in_window
+        run.buf_staged[(ap_blk * cap + slot - scap)[spill]] = ap_u[spill]
+
+
+def _run_starts_mask(keys: np.ndarray) -> np.ndarray:
+    """True where a run of equal ``keys`` starts (``keys`` non-empty)."""
+    mask = np.empty(keys.size, dtype=bool)
+    mask[0] = True
+    mask[1:] = keys[1:] != keys[:-1]
+    return mask
+
+
+def _fold_charges(run: _LoopRun) -> None:
+    """Fold a launch's logged flush rows into its accounting, once.
+
+    Every charge is an exact dyadic value, so one ``bincount`` per
+    metric over the whole launch equals the reference's one-by-one
+    accumulation bit for bit (``docs/SIMULATOR.md``).
     """
     acc = run.acc
     cost = run.launch.cost
     gll = cost.global_load_latency
     gab = cost.global_atomic_base
-    k = run.k
+    warps = run.warps
+    nwarps = run.grid * warps
     grid = run.grid
-    nwarps = grid * run.warps
-    cap = run.capacity
-    cfg = run.cfg
-    sm = cfg.shared_buffer
-    scap = run.shared_capacity if sm else 0
-    effective = cap + scap
-    compaction = cfg.compaction
-    scan_cost = 0.0 if compaction == "none" else (
-        3.0 if compaction == "ballot" else 11.0
-    )
-    nbrs = _scalar_list(run.neighbors, "_fastsim_nbrs")
-    if run.deg_list is None:
-        run.deg_list = run.deg_staged.tolist()
-    deg = run.deg_list
-    buf = run.buf_staged
-    own = run.own_range
-    lo, hi = own if own is not None else (0, 0)
-    wi = [0.0] * nwarps  # issued
-    wp = [0.0] * nwarps  # path
-    bt = [0.0] * grid  # mem_transactions
-    ba = [0.0] * grid  # mem_accesses
-    bl = [0.0] * grid  # mem_active_lanes
-    bi = [0.0] * grid  # mem_ideal_transactions
-    bat = [0.0] * grid  # atomic_cycles
-    bcf = [0.0] * grid  # atomic_conflicts
-    bpk = [0.0] * grid  # buffer_peak (running max)
-    for i, (v, (s, e)) in enumerate(zip(vals, bounds)):
-        b = run.ev_block[i]
-        g = run.ev_gwid[i]
-        blk = run.blocks[b]
-        # -- the buffer read (charges only; value came from the peek) --
-        if run.ev_slot[i] >= 0:
-            if sm:
-                wi[g] += 5.0  # smem_get(e_init) + charge(4)
-                wp[g] += 5.0
-                if blk.e_init <= run.ev_slot[i] < blk.e_init + scap:
-                    wi[g] += 1.0  # sload
-                    wp[g] += 1.0
-                else:
-                    wi[g] += 1.0  # shifted gload
-                    wp[g] += 1.0 + gll
-                    bt[b] += 1.0
-                    ba[b] += 1.0
-                    bl[b] += 1.0
-                    bi[b] += 1.0
-            else:
-                wi[g] += 1.0  # plain gload of one word
-                wp[g] += 1.0 + gll
-                bt[b] += 1.0
-                ba[b] += 1.0
-                bl[b] += 1.0
-                bi[b] += 1.0
-        # -- Line 13: bounds load (two consecutive offsets words) ------
-        rel = v - run.base
-        wi[g] += 1.0
-        wp[g] += 1.0 + gll
-        bt[b] += float((rel + 1) // 32 - rel // 32 + 1)
-        ba[b] += 1.0
-        bl[b] += 2.0
-        bi[b] += 1.0
-        # -- the adjacency sweep, one 32-lane trip at a time -----------
-        for pos0 in range(s, e, 32):
-            l = min(32, e - pos0)
-            u_list = nbrs[pos0 : pos0 + l]
-            # sync_warp + neighbors gload + deg gload + charge(4)
-            wi[g] += 7.0 + scan_cost
-            wp[g] += 7.0 + 2.0 * gll + scan_cost
-            segs = set()
-            cand: List[int] = []
-            newly: List[int] = []
-            # every x in a trip is distinct (launch-level duplicate
-            # guard), so in-loop writes never shadow a later read
-            for x in u_list:
-                segs.add(x >> 5)
-                du = deg[x]
-                if du > k:
-                    cand.append(x)
-                    deg[x] = du - 1
-                    if du == k + 1 and (own is None or lo <= x < hi):
-                        newly.append(x)
-            bt[b] += float(
-                (pos0 + l - 1) // 32 - pos0 // 32 + 1 + len(segs)
-            )
-            ba[b] += 2.0
-            bl[b] += 2.0 * l
-            bi[b] += 2.0
-            c = len(cand)
-            if c:
-                # Line 21: atomicSub (distinct addresses: no conflicts)
-                wi[g] += 1.0
-                wp[g] += gab
-                bat[b] += gab
-                bt[b] += float(len({x >> 5 for x in cand}))
-                ba[b] += 1.0
-                bl[b] += float(c)
-                bi[b] += 1.0
-            nw = len(newly)
-            if not nw:
-                continue
-            # -- append the newly-dead vertices ------------------------
-            loc = blk.e
-            if loc + nw > effective:
-                raise FallbackToReference(
-                    "loop buffer overflow; reference raises"
-                )
-            if compaction == "none":
-                wi[g] += 1.0
-                sa = 2.0 + 0.25 * (nw - 1)
-                wp[g] += sa
-                bat[b] += sa
-                bcf[b] += float(nw - 1)
-            else:
-                wi[g] += 3.0  # atomic + shfl + charge
-                wp[g] += 4.0
-                bat[b] += 2.0
-            if not sm:
-                wi[g] += 1.0  # gstore
-                wp[g] += 1.0
-                start = b * cap + loc
-                bt[b] += float((start + nw - 1) // 32 - start // 32 + 1)
-                ba[b] += 1.0
-                bl[b] += float(nw)
-                bi[b] += 1.0
-                buf[start : start + nw] = newly
-            else:
-                wi[g] += 5.0  # smem_get(e_init) + charge(4)
-                wp[g] += 5.0
-                n_sh = min(max(blk.e_init + scap - loc, 0), nw)
-                if n_sh:
-                    wi[g] += 1.0  # sstore
-                    wp[g] += 1.0
-                    window = run.shared.arrays[b]["B"]
-                    for j in range(n_sh):
-                        window[loc - blk.e_init + j] = newly[j]
-                n_gl = nw - n_sh
-                if n_gl:
-                    wi[g] += 1.0  # gstore
-                    wp[g] += 1.0
-                    gl_start = b * cap + max(loc, blk.e_init + scap) - scap
-                    bt[b] += float(
-                        (gl_start + n_gl - 1) // 32 - gl_start // 32 + 1
-                    )
-                    ba[b] += 1.0
-                    bl[b] += float(n_gl)
-                    bi[b] += 1.0
-                    buf[gl_start : gl_start + n_gl] = newly[n_sh:]
-            if loc + nw > bpk[b]:
-                bpk[b] = float(loc + nw)
-            blk.e = loc + nw
-    acc.issued += np.asarray(wi)
-    acc.path += np.asarray(wp)
-    acc.mem_transactions += np.asarray(bt)
-    acc.mem_accesses += np.asarray(ba)
-    acc.mem_active_lanes += np.asarray(bl)
-    acc.mem_ideal_transactions += np.asarray(bi)
-    acc.atomic_cycles += np.asarray(bat)
-    acc.atomic_conflicts += np.asarray(bcf)
-    np.maximum(acc.buffer_peak, np.asarray(bpk), out=acc.buffer_peak)
-
-
-def _flush_events(run: _LoopRun) -> None:
-    """Batch-execute all pending events in emission order.
-
-    One event is one warp's full adjacency sweep of one frontier
-    vertex (Alg. 3 Lines 12-24).  See the module docstring for why the
-    rank closed form reproduces the reference order exactly.
-    """
-    acc = run.acc
-    cost = run.launch.cost
-    k = run.k
-    grid = run.grid
-    nwarps = grid * run.warps
-    if run.deg_list is not None:
-        # the scalar path left the Python list authoritative
-        run.deg_staged[:] = run.deg_list
-    ev_block = np.asarray(run.ev_block, dtype=np.int64)
-    ev_gwid = np.asarray(run.ev_gwid, dtype=np.int64)
-    v = _resolve_slot_events(run, ev_block, ev_gwid)
-
-    # Line 13: the bounds load (two consecutive offsets words)
-    rel = v - run.base
-    offs = run.offsets.data
-    if int(rel.min(initial=0)) < 0 or int(rel.max(initial=-1)) + 1 >= offs.size:
-        raise FallbackToReference("frontier vertex outside CSR slice")
-    starts = offs[rel]
-    ends = offs[rel + 1]
-    ev_per_warp = np.bincount(ev_gwid, minlength=nwarps)
-    acc.issued += ev_per_warp
-    acc.path += ev_per_warp * (1.0 + cost.global_load_latency)
-    ev_per_block = np.bincount(ev_block, minlength=grid)
-    acc.mem_transactions += np.bincount(
-        ev_block,
-        weights=_contig_trans_vec(
-            rel, np.full(rel.size, 2, dtype=np.int64)
-        ).astype(np.float64),
-        minlength=grid,
-    )
-    acc.mem_accesses += ev_per_block
-    acc.mem_active_lanes += 2.0 * ev_per_block
-    acc.mem_ideal_transactions += ev_per_block
-
-    degs = (ends - starts).astype(np.int64)
-    if int(degs.sum()) == 0:
-        return
-
-    # -- expand every event's adjacency slice to edge granularity ------
-    eid, off, pos = _expand_edges(starts, degs)
-    u = run.neighbors.data[pos]
-
-    # trips: 32 lanes per trip, in (event, trip, lane) order — exactly
-    # the global touch order of the reference schedule
-    trips_per_event = -(-degs // 32)
-    trip_base = _exclusive_cumsum(trips_per_event)
-    gtid = trip_base[eid] + off // 32
-    total_trips = int(trips_per_event.sum())
-    trip_event = np.repeat(
-        np.arange(degs.size, dtype=np.int64), trips_per_event
-    )
-    tw = np.arange(total_trips, dtype=np.int64) - trip_base[trip_event]
-    trip_pos0 = starts[trip_event] + 32 * tw
-    trip_l = np.minimum(32, ends[trip_event] - trip_pos0).astype(np.int64)
-    trip_gwid = ev_gwid[trip_event]
-    trip_block = ev_block[trip_event]
-
-    # -- candidacy by rank (see module docstring) ----------------------
-    order = np.argsort(u, kind="stable")
-    su = u[order]
-    bounds = np.empty(su.size, dtype=bool)
-    bounds[0] = True
-    bounds[1:] = su[1:] != su[:-1]
-    group = np.cumsum(bounds) - 1
-    rank_sorted = (
-        np.arange(su.size, dtype=np.int64) - np.flatnonzero(bounds)[group]
-    )
-    rank = np.empty(u.size, dtype=np.int64)
-    rank[order] = rank_sorted
-    d0 = run.deg_staged[u]
-    cand = rank < (d0 - k)
-    newly = cand & (rank == d0 - k - 1)
-    if run.own_range is not None:
-        lo, hi = run.own_range
-        newly &= (u >= lo) & (u < hi)
-    np.subtract.at(run.deg_staged, u[cand], 1)
-    if run.deg_list is not None:
-        run.deg_list = run.deg_staged.tolist()
-
-    # -- per-trip costs -------------------------------------------------
-    # sync_warp + neighbors gload + deg gload + charge(4), every trip
-    t_issued = np.full(total_trips, 7.0)
-    t_path = np.full(
-        total_trips, 7.0 + 2 * cost.global_load_latency
-    )
-    nbr_trans = _contig_trans_vec(trip_pos0, trip_l)
-    deg_trans = grouped_distinct_segments(gtid, u, total_trips)
-    trips_per_block = np.bincount(trip_block, minlength=grid)
-    acc.mem_transactions += np.bincount(
-        trip_block, weights=(nbr_trans + deg_trans).astype(np.float64),
-        minlength=grid,
-    )
-    acc.mem_accesses += 2.0 * trips_per_block
-    acc.mem_active_lanes += 2.0 * np.bincount(
-        trip_block, weights=trip_l.astype(np.float64), minlength=grid
-    )
-    acc.mem_ideal_transactions += 2.0 * trips_per_block
-
-    csel = np.flatnonzero(cand)
-    if csel.size:
-        trip_c = np.bincount(gtid[csel], minlength=total_trips)
-        has_c = trip_c > 0
-        hcf = has_c.astype(np.float64)
-        # Line 21: atomicSub on the candidates (distinct addresses: no
-        # conflicts, base cycles only)
-        at_trans = grouped_distinct_segments(
-            gtid[csel], u[csel], total_trips
+    ev = run.ev_rows.table()
+    if ev.size:
+        gwid, rel, kind = ev[:, 0], ev[:, 1], ev[:, 2]
+        blk = gwid // warps
+        compaction = run.cfg.compaction
+        scan = 0.0 if compaction == "none" else (
+            3.0 if compaction == "ballot" else 11.0
         )
-        t_issued += hcf
-        t_path += hcf * cost.global_atomic_base
-        hc_per_block = np.bincount(trip_block, weights=hcf, minlength=grid)
-        acc.atomic_cycles += hc_per_block * cost.global_atomic_base
+        # per read kind: issued, path, and one word of global traffic
+        read_issued = np.array([0.0, 1.0, 6.0, 6.0])[kind]
+        read_path = np.array([0.0, 1.0 + gll, 6.0, 6.0 + gll])[kind]
+        read_mem = np.array([0.0, 1.0, 0.0, 1.0])[kind]
+        ntrips = run.tables.ntrips[rel]
+        # bounds load, then per trip: sync_warp + neighbors gload + deg
+        # gload + charge(4), plus the compaction scan
+        acc.issued += np.bincount(
+            gwid, weights=read_issued + 1.0 + ntrips * (7.0 + scan),
+            minlength=nwarps,
+        )
+        acc.path += np.bincount(
+            gwid,
+            weights=read_path + 1.0 + gll + ntrips * (7.0 + 2 * gll + scan),
+            minlength=nwarps,
+        )
+        accesses = np.bincount(
+            blk, weights=read_mem + 1.0 + 2.0 * ntrips, minlength=grid
+        )
+        acc.mem_accesses += accesses
+        acc.mem_ideal_transactions += accesses
         acc.mem_transactions += np.bincount(
-            trip_block, weights=at_trans.astype(np.float64), minlength=grid
+            blk, weights=read_mem + run.tables.trans[rel], minlength=grid
         )
-        acc.mem_accesses += hc_per_block
         acc.mem_active_lanes += np.bincount(
-            trip_block, weights=trip_c.astype(np.float64), minlength=grid
+            blk, weights=read_mem + run.tables.lanes[rel], minlength=grid
         )
-        acc.mem_ideal_transactions += hc_per_block
-
-    compaction = run.cfg.compaction
-    if compaction != "none":
-        # the warp-wide scan runs on every trip, appends or not
-        scan_cost = 3.0 if compaction == "ballot" else 11.0
-        t_issued += scan_cost
-        t_path += scan_cost
-    nsel = np.flatnonzero(newly)
-    per_block_nw = None
-    if nsel.size:
-        trip_nw = np.bincount(gtid[nsel], minlength=total_trips)
-        has_nw = trip_nw > 0
-        hnf = has_nw.astype(np.float64)
-        if compaction == "none":
-            t_issued += hnf
-            sa = np.where(has_nw, 2.0 + 0.25 * (trip_nw - 1), 0.0)
-            t_path += sa
+    cr = run.cand_rows.table()
+    if cr.size:
+        # Line 21: one atomicSub per trip with candidates (distinct
+        # addresses: no conflicts, base cycles only)
+        per_warp = np.bincount(cr[:, 0], minlength=nwarps)
+        acc.issued += per_warp
+        acc.path += gab * per_warp
+        blk = cr[:, 0] // warps
+        per_block = np.bincount(blk, minlength=grid)
+        acc.atomic_cycles += gab * per_block
+        acc.mem_accesses += per_block
+        acc.mem_ideal_transactions += per_block
+        acc.mem_transactions += np.bincount(
+            blk, weights=cr[:, 2], minlength=grid
+        )
+        acc.mem_active_lanes += np.bincount(
+            blk, weights=cr[:, 1], minlength=grid
+        )
+    ar = run.append_rows.table()
+    if ar.size:
+        gwid, nw, n_sh, gl_tx = ar[:, 0], ar[:, 1], ar[:, 2], ar[:, 3]
+        blk = gwid // warps
+        n_gl = nw - n_sh
+        # smem_get(e_init) + charge(4) under SM, then one sstore into
+        # the window and/or one gstore past it
+        stores = (
+            (5.0 if run.cfg.shared_buffer else 0.0)
+            + (n_sh > 0) + (n_gl > 0)
+        )
+        if run.cfg.compaction == "none":
+            # atomicAdd(e, nw): nw serialised lanes
+            serial = 2.0 + 0.25 * (nw - 1)
+            issued, path = 1.0 + stores, serial + stores
             acc.atomic_cycles += np.bincount(
-                trip_block, weights=sa, minlength=grid
+                blk, weights=serial, minlength=grid
             )
             acc.atomic_conflicts += np.bincount(
-                trip_block,
-                weights=np.where(has_nw, trip_nw - 1, 0).astype(np.float64),
-                minlength=grid,
+                blk, weights=nw - 1, minlength=grid
             )
         else:
-            t_issued += hnf * 3.0  # atomic + shfl + charge
-            t_path += hnf * 4.0
-            acc.atomic_cycles += np.bincount(
-                trip_block, weights=hnf * 2.0, minlength=grid
-            )
-
-        # -- append locations ------------------------------------------
-        e_before = np.asarray(
-            [blk.e for blk in run.blocks], dtype=np.int64
+            # atomic + shfl + charge
+            issued, path = 3.0 + stores, 4.0 + stores
+            acc.atomic_cycles += 2.0 * np.bincount(blk, minlength=grid)
+        acc.issued += np.bincount(gwid, weights=issued, minlength=nwarps)
+        acc.path += np.bincount(gwid, weights=path, minlength=nwarps)
+        gstores = np.bincount(blk, weights=n_gl > 0, minlength=grid)
+        acc.mem_accesses += gstores
+        acc.mem_ideal_transactions += gstores
+        acc.mem_transactions += np.bincount(
+            blk, weights=gl_tx, minlength=grid
         )
-        seg = _segmented_exclusive_cumsum(trip_nw, trip_block)
-        trip_loc = e_before[trip_block] + seg
-        per_block_nw = np.bincount(
-            trip_block, weights=trip_nw, minlength=run.grid
-        ).astype(np.int64)
-        scap = run.shared_capacity if run.cfg.shared_buffer else 0
-        effective = run.capacity + scap
-        if np.any(
-            (trip_loc + trip_nw)[has_nw] > effective
-        ):
-            raise FallbackToReference("loop buffer overflow; reference raises")
-
-        # write instruction + transaction accounting per appending trip
-        wr = has_nw
-        wr_gwid = trip_gwid[wr]
-        wr_block = trip_block[wr]
-        wr_loc = trip_loc[wr]
-        wr_nw = trip_nw[wr]
-        if not run.cfg.shared_buffer:
-            wr_warp = np.bincount(wr_gwid, minlength=nwarps)
-            acc.issued += wr_warp  # gstore
-            acc.path += wr_warp
-            wr_trans = _contig_trans_vec(
-                wr_block * run.capacity + wr_loc, wr_nw
-            )
-            wr_per_block = np.bincount(wr_block, minlength=grid)
-            acc.mem_transactions += np.bincount(
-                wr_block, weights=wr_trans.astype(np.float64), minlength=grid
-            )
-            acc.mem_accesses += wr_per_block
-            acc.mem_active_lanes += np.bincount(
-                wr_block, weights=wr_nw.astype(np.float64), minlength=grid
-            )
-            acc.mem_ideal_transactions += wr_per_block
-        else:
-            e_init = np.asarray(
-                [blk.e_init for blk in run.blocks], dtype=np.int64
-            )[wr_block]
-            wr_warp = np.bincount(wr_gwid, minlength=nwarps)
-            acc.issued += wr_warp * 5.0  # smem_get(e_init) + charge(4)
-            acc.path += wr_warp * 5.0
-            # locations start at >= e_init, so the split is purely
-            # "below the window top goes to shared, the rest shifts
-            # down by scap"
-            n_sh = np.clip(e_init + scap - wr_loc, 0, wr_nw)
-            any_sh = n_sh > 0
-            sh_warp = np.bincount(wr_gwid[any_sh], minlength=nwarps)
-            acc.issued += sh_warp  # sstore
-            acc.path += sh_warp
-            n_gl = wr_nw - n_sh
-            any_gl = n_gl > 0
-            gl_warp = np.bincount(wr_gwid[any_gl], minlength=nwarps)
-            acc.issued += gl_warp  # gstore
-            acc.path += gl_warp
-            gl_start = (
-                wr_block * run.capacity
-                + np.maximum(wr_loc, e_init + scap) - scap
-            )
-            gl_trans = _contig_trans_vec(gl_start, n_gl)
-            gl_per_block = np.bincount(wr_block[any_gl], minlength=grid)
-            acc.mem_transactions += np.bincount(
-                wr_block[any_gl], weights=gl_trans[any_gl].astype(np.float64),
-                minlength=grid,
-            )
-            acc.mem_accesses += gl_per_block
-            acc.mem_active_lanes += np.bincount(
-                wr_block[any_gl], weights=n_gl[any_gl].astype(np.float64),
-                minlength=grid,
-            )
-            acc.mem_ideal_transactions += gl_per_block
-        np.maximum.at(
-            acc.buffer_peak, wr_block, (wr_loc + wr_nw).astype(np.float64)
+        acc.mem_active_lanes += np.bincount(
+            blk, weights=n_gl, minlength=grid
         )
-
-        # -- commit the appended vertices ------------------------------
-        ap_u = u[nsel]
-        ap_trip = gtid[nsel]
-        ap_slot = trip_loc[ap_trip] + _segmented_exclusive_cumsum(
-            np.ones(ap_u.size, dtype=np.int64), ap_trip
+        # tails only grow, so a block's peak is its final tail
+        appended = np.bincount(blk, minlength=grid) > 0
+        final = np.asarray([b.e for b in run.blocks], dtype=np.float64)
+        np.maximum(
+            acc.buffer_peak, np.where(appended, final, 0.0),
+            out=acc.buffer_peak,
         )
-        ap_block = trip_block[ap_trip]
-        if scap:
-            e_init_b = np.asarray(
-                [blk.e_init for blk in run.blocks], dtype=np.int64
-            )[ap_block]
-            in_sh = ap_slot < e_init_b + scap
-            for blk_idx, slot, vtx in zip(
-                ap_block[in_sh], (ap_slot - e_init_b)[in_sh], ap_u[in_sh]
-            ):
-                run.shared.arrays[int(blk_idx)]["B"][int(slot)] = int(vtx)
-            gl = ~in_sh
-            run.buf_staged[
-                ap_block[gl] * run.capacity + ap_slot[gl] - scap
-            ] = ap_u[gl]
-        else:
-            run.buf_staged[ap_block * run.capacity + ap_slot] = ap_u
-
-    acc.issued += np.bincount(trip_gwid, weights=t_issued, minlength=nwarps)
-    acc.path += np.bincount(trip_gwid, weights=t_path, minlength=nwarps)
-    if per_block_nw is not None:
-        for blk in run.blocks:
-            blk.e += int(per_block_nw[blk.idx])
 
 
 def _loop_vectorized(launch: VectorLaunch) -> KernelStats:
@@ -1407,17 +1234,17 @@ def _loop_vectorized(launch: VectorLaunch) -> KernelStats:
         raise FallbackToReference("virtual warping is not vectorized")
     if cfg.prefetch and cfg.shared_buffer:
         raise FallbackToReference("prefetch+shared-buffer combination")
-    if _adjacency_has_duplicates(bound["offsets"], bound["neighbors"]):
+    tables = _csr_tables(bound["offsets"], bound["neighbors"])
+    if tables.duplicates:
         raise FallbackToReference(
             "duplicate in-adjacency neighbors can trigger the restore path"
         )
-    run = _LoopRun(launch, bound)
+    run = _LoopRun(launch, bound, tables)
     if cfg.prefetch:
         _replay_prefetched(run)
     else:
         _replay_drain(run)
-    if run.deg_list is not None:
-        run.deg_staged[:] = run.deg_list
+    _fold_charges(run)
     stats = run.acc.finish(launch)
     run.shared.commit()
     run.staged.commit()
@@ -1488,10 +1315,8 @@ def _replay_drain(run: _LoopRun) -> None:
     head_rounds = [0] * run.grid  # every live warp charges 5/5 per HEAD
     body_w0 = [0] * run.grid
     barriers = [0] * run.grid
-    ev_b = run.ev_block
     ev_g = run.ev_gwid
-    ev_s = run.ev_slot
-    ev_v = run.ev_value
+    ev_s = run.ev_item
     order = list(run.blocks)
     for blk in order:
         # only Thread 0 charges here, and shared allocs dedupe per
@@ -1521,20 +1346,16 @@ def _replay_drain(run: _LoopRun) -> None:
             b = blk.idx
             wo = worder[b]
             if e0 - s0 >= warps:
-                ev_b.extend([b] * warps)
                 ev_g.extend([base + wid for wid in wo])
                 ev_s.extend([s0 + wid for wid in wo])
-                ev_v.extend([-1] * warps)
                 blk.pending += warps
             else:
                 stay = []
                 stepped = []
                 for wid in wo:
                     if s0 + wid < e0:
-                        ev_b.append(b)
                         ev_g.append(base + wid)
                         ev_s.append(s0 + wid)
-                        ev_v.append(-1)
                         stepped.append(wid)
                     else:
                         stay.append(wid)
@@ -1584,10 +1405,8 @@ def _replay_prefetched(run: _LoopRun) -> None:
     barriers = [0] * run.grid
     acc = run.acc
     cost = run.launch.cost
-    ev_b = run.ev_block
     ev_g = run.ev_gwid
-    ev_s = run.ev_slot
-    ev_v = run.ev_value
+    ev_v = run.ev_item
     order = list(run.blocks)
     for blk in order:
         # Thread-0 charges + per-block shared allocs (deduped)
@@ -1634,9 +1453,7 @@ def _replay_prefetched(run: _LoopRun) -> None:
                 vals = blk.pref[blk.parity][1 : blk.head_pn + 1].tolist()
                 for wid, val in enumerate(vals, 1):
                     mid_loads[gwid0 + wid] += 1
-                    ev_b.append(b)
                     ev_g.append(gwid0 + wid)
-                    ev_s.append(-1)
                     ev_v.append(val)
                 blk.pending += blk.head_pn
             barriers[b] += 1

@@ -11,8 +11,6 @@ that are kernel-agnostic:
 * closed-form 128-byte transaction counts for contiguous and
   scattered index sets, exactly matching
   :meth:`~repro.gpusim.context.WarpContext._count_transactions`;
-* per-group distinct-segment counting for batching many warp accesses
-  into one ``np.unique`` pass;
 * the end-of-launch fold from per-warp accumulators and per-block
   :class:`~repro.gpusim.costmodel.BlockTiming` records into a
   :class:`~repro.gpusim.scheduler.KernelStats`, mirroring
@@ -44,7 +42,6 @@ __all__ = [
     "WORDS_PER_TRANSACTION",
     "assemble_stats",
     "contiguous_transactions",
-    "grouped_distinct_segments",
     "scattered_transactions",
 ]
 
@@ -71,31 +68,6 @@ def scattered_transactions(idx: np.ndarray) -> int:
     if idx.size == 0:
         return 0
     return int(np.unique(idx // WORDS_PER_TRANSACTION).size)
-
-
-def grouped_distinct_segments(
-    group_keys: np.ndarray, idx: np.ndarray, num_groups: int
-) -> np.ndarray:
-    """Distinct 32-word segments per group, for many accesses at once.
-
-    ``group_keys[i]`` assigns element ``idx[i]`` to one warp access
-    (e.g. a ``(job, trip)`` pair encoded as an integer in
-    ``[0, num_groups)``); the result's ``g``-th entry is what the
-    reference interpreter's
-    :meth:`~repro.gpusim.context.WarpContext._count_transactions`
-    would have returned for group ``g``'s indices.  One sort replaces
-    ``num_groups`` separate ``np.unique`` calls.
-    """
-    counts = np.zeros(num_groups, dtype=np.int64)
-    if idx.size == 0:
-        return counts
-    segs = idx // WORDS_PER_TRANSACTION
-    # unique (group, segment) pairs == per-group distinct segments
-    combo = group_keys * np.int64(2**40) + segs
-    unique_combo = np.unique(combo)
-    groups = unique_combo // np.int64(2**40)
-    np.add.at(counts, groups, 1)
-    return counts
 
 
 def assemble_stats(

@@ -48,6 +48,8 @@ charge-based (no SIMT kernels); for those the pass inventories
 from __future__ import annotations
 
 import ast
+import copy
+import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
@@ -430,11 +432,26 @@ _CROSS_MODULE_HELPERS = (
 )
 
 
+#: inventories of analysed files by (sha256 of the text, module, path)
+_FILE_INVENTORIES: Dict[Tuple[str, str, str], ModuleInventory] = {}
+
+
 def analyze_file(path: str | Path, module: str | None = None) -> ModuleInventory:
-    """Run the pass over one file."""
+    """Run the pass over one file.
+
+    Memoised by the sha256 of the file's text: an unchanged file is
+    parsed once per process, and every call returns its own deep copy,
+    so no caller can change what the next one gets.
+    """
     path = Path(path)
     name = module or path.stem
-    return analyze_source(path.read_text(encoding="utf-8"), name, str(path))
+    source = path.read_text(encoding="utf-8")
+    key = (hashlib.sha256(source.encode()).hexdigest(), name, str(path))
+    inventory = _FILE_INVENTORIES.get(key)
+    if inventory is None:
+        inventory = analyze_source(source, name, str(path))
+        _FILE_INVENTORIES[key] = inventory
+    return copy.deepcopy(inventory)
 
 
 def analyze_module(mod) -> ModuleInventory:

@@ -71,7 +71,9 @@ import ast
 import importlib
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Any, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Any, Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from repro.core.variants import EXTENSION_VARIANTS, VARIANTS, VariantConfig, get_variant
 from repro.sanitize.astutil import dotted, is_sentinel_yield, iter_own_scope
@@ -1513,6 +1515,88 @@ def _executor_attribution(tree: ast.Module,
     }
 
 
+class _FallbackSite(NamedTuple):
+    """One ``raise FallbackToReference`` with its innermost guard."""
+
+    kernel: str
+    func: str
+    line: int
+    message: str
+    test: Optional[ast.expr]
+    test_src: str
+    #: the guard may be structural: an executor's guard naming only cfg
+    pure_cfg: bool
+
+
+_site_cache: Dict[str, Tuple[_FallbackSite, ...]] = {}
+
+
+def _fallback_sites(engine_module: str) -> Tuple[_FallbackSite, ...]:
+    """Every fallback site of ``engine_module``, parsed once per process."""
+    if engine_module in _site_cache:
+        return _site_cache[engine_module]
+    mod = importlib.import_module(engine_module)
+    with open(mod.__file__ or "", encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    executors: Dict[str, str] = {}
+    for node in ast.walk(tree):  # registration may sit inside register()
+        if (isinstance(node, ast.Call)
+                and dotted(node.func) == "register_vectorized_kernel"
+                and len(node.args) == 2):
+            kern = dotted(node.args[0]) or "?"
+            impl = dotted(node.args[1]) or "?"
+            executors[impl] = kern
+    attribution = _executor_attribution(tree, executors)
+    sites: List[_FallbackSite] = []
+
+    def visit(fn: ast.FunctionDef, kernel: str, structural_ok: bool) -> None:
+        def walk(stmts: List[ast.stmt], tests: Tuple[ast.expr, ...]) -> None:
+            for stmt in stmts:
+                if isinstance(stmt, ast.Raise):
+                    call = stmt.exc
+                    name = dotted(call.func) if isinstance(call, ast.Call) \
+                        else None
+                    if name != "FallbackToReference":
+                        continue
+                    msg = ""
+                    if isinstance(call, ast.Call) and call.args and \
+                            isinstance(call.args[0], ast.Constant):
+                        msg = str(call.args[0].value)
+                    test = tests[-1] if tests else None
+                    pure_cfg = structural_ok and test is not None and {
+                        n.id for n in ast.walk(test)
+                        if isinstance(n, ast.Name)
+                    } <= {"cfg"}
+                    sites.append(_FallbackSite(
+                        kernel, fn.name, stmt.lineno, msg, test,
+                        ast.unparse(test) if test is not None else "",
+                        pure_cfg))
+                elif isinstance(stmt, ast.If):
+                    walk(stmt.body, tests + (stmt.test,))
+                    walk(stmt.orelse, tests)
+                elif isinstance(stmt, (ast.For, ast.While, ast.With)):
+                    walk(stmt.body, tests)
+                elif isinstance(stmt, ast.Try):
+                    walk(stmt.body, tests)
+                    for h in stmt.handlers:
+                        walk(h.body, tests)
+
+        walk(list(fn.body), ())
+
+    for node in tree.body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        if node.name in executors:
+            visit(node, executors[node.name].split(".")[-1],
+                  structural_ok=True)
+        else:
+            visit(node, attribution.get(node.name, "both"),
+                  structural_ok=False)
+    out = tuple(sites)
+    _site_cache[engine_module] = out
+    return out
+
+
 def engine_preconditions(
     cfg: VariantConfig,
     engine_module: Optional[str] = _KCORE_ENGINE_MODULE,
@@ -1537,72 +1621,19 @@ def engine_preconditions(
         ),)
         _precond_cache[key] = out
         return out
-    mod = importlib.import_module(engine_module)
-    with open(mod.__file__ or "", encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    executors: Dict[str, str] = {}
-    for node in ast.walk(tree):  # registration may sit inside register()
-        if (isinstance(node, ast.Call)
-                and dotted(node.func) == "register_vectorized_kernel"
-                and len(node.args) == 2):
-            kern = dotted(node.args[0]) or "?"
-            impl = dotted(node.args[1]) or "?"
-            executors[impl] = kern
-    attribution = _executor_attribution(tree, executors)
     rules: List[FallbackRule] = []
-
-    def visit(fn: ast.FunctionDef, kernel: str, structural_ok: bool) -> None:
-        def walk(stmts: List[ast.stmt], tests: Tuple[ast.expr, ...]) -> None:
-            for stmt in stmts:
-                if isinstance(stmt, ast.Raise):
-                    call = stmt.exc
-                    name = dotted(call.func) if isinstance(call, ast.Call) \
-                        else None
-                    if name != "FallbackToReference":
-                        continue
-                    msg = ""
-                    if isinstance(call, ast.Call) and call.args and \
-                            isinstance(call.args[0], ast.Constant):
-                        msg = str(call.args[0].value)
-                    test = tests[-1] if tests else None
-                    test_src = ast.unparse(test) if test is not None else ""
-                    structural = False
-                    fires = False
-                    if structural_ok and test is not None:
-                        names = {
-                            n.id for n in ast.walk(test)
-                            if isinstance(n, ast.Name)
-                        }
-                        if names <= {"cfg"}:
-                            try:
-                                value = _StructEval(cfg).eval(test)
-                                structural, fires = True, bool(value)
-                            except _Bail:
-                                pass
-                    rules.append(FallbackRule(
-                        kernel, fn.name, stmt.lineno, msg, structural,
-                        test_src, fires))
-                elif isinstance(stmt, ast.If):
-                    walk(stmt.body, tests + (stmt.test,))
-                    walk(stmt.orelse, tests)
-                elif isinstance(stmt, (ast.For, ast.While, ast.With)):
-                    walk(stmt.body, tests)
-                elif isinstance(stmt, ast.Try):
-                    walk(stmt.body, tests)
-                    for h in stmt.handlers:
-                        walk(h.body, tests)
-
-        walk(list(fn.body), ())
-
-    for node in tree.body:
-        if not isinstance(node, ast.FunctionDef):
-            continue
-        if node.name in executors:
-            visit(node, executors[node.name].split(".")[-1],
-                  structural_ok=True)
-        else:
-            visit(node, attribution.get(node.name, "both"),
-                  structural_ok=False)
+    for site in _fallback_sites(engine_module):
+        structural = False
+        fires = False
+        if site.pure_cfg and site.test is not None:
+            try:
+                fires = bool(_StructEval(cfg).eval(site.test))
+                structural = True
+            except _Bail:
+                pass
+        rules.append(FallbackRule(
+            site.kernel, site.func, site.line, site.message, structural,
+            site.test_src, fires))
     out = tuple(rules)
     _precond_cache[key] = out
     return out

@@ -159,19 +159,20 @@ def test_duplicate_adjacency_routes_loop_launches_to_reference():
     from repro.graph.csr import CSRGraph
 
     # `from_*` constructors deduplicate, so build the multigraph's CSR
-    # arrays directly: vertex 0 and 1 each list the other twice.
-    graph = CSRGraph(
-        offsets=np.array([0, 3, 6, 8]),
-        neighbors=np.array([1, 1, 2, 0, 0, 2, 0, 1]),
-    )
-    ref = gpu_peel(graph, engine="reference")
-    vec = gpu_peel(graph, engine="vectorized")
-    assert np.array_equal(vec.core, ref.core)
-    assert ref.simulated_ms == vec.simulated_ms
-    assert vec.counters["engine.served.vectorized"] \
-        == vec.counters["kernel.scan.launches"]
-    assert vec.counters["engine.served.reference"] \
-        == vec.counters["kernel.loop.launches"]
+    # arrays directly: vertex 0 and 1 each list the other twice, next
+    # to each other in a sorted slice or apart in an unsorted one.
+    for neighbors in ([1, 1, 2, 0, 0, 2, 0, 1], [1, 2, 1, 0, 2, 0, 0, 1]):
+        graph = CSRGraph(
+            offsets=np.array([0, 3, 6, 8]), neighbors=np.array(neighbors)
+        )
+        ref = gpu_peel(graph, engine="reference")
+        vec = gpu_peel(graph, engine="vectorized")
+        assert np.array_equal(vec.core, ref.core)
+        assert ref.simulated_ms == vec.simulated_ms
+        assert vec.counters["engine.served.vectorized"] \
+            == vec.counters["kernel.scan.launches"]
+        assert vec.counters["engine.served.reference"] \
+            == vec.counters["kernel.loop.launches"]
 
 
 def test_predicted_overflow_raises_the_reference_error():

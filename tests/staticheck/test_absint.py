@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from repro.staticheck.absint import WAIVE_MARK, analyze_source
+from repro.staticheck import absint
+from repro.staticheck.absint import WAIVE_MARK, analyze_file, analyze_source
 
 _KERNEL_SOURCE = '''
 __staticheck__ = {"my_kernel": "bounds in tests"}
@@ -92,3 +93,29 @@ def test_missing_call_edge_is_a_finding():
     assert len(missing) == 1
     assert missing[0].detector == "uncertified-kernel"
     assert "my_kernel -> helper" in missing[0].message
+
+
+def test_file_inventories_are_memoised_by_source_digest(tmp_path, monkeypatch):
+    calls = []
+    real = absint.analyze_source
+
+    def counting(source, module, filename="<string>"):
+        calls.append(module)
+        return real(source, module, filename)
+
+    monkeypatch.setattr(absint, "analyze_source", counting)
+    path = tmp_path / "memo_mod.py"
+    path.write_text(_KERNEL_SOURCE)
+    first = analyze_file(path)
+    assert set(analyze_file(path).kernels) == {"my_kernel", "helper"}
+    assert calls == ["memo_mod"]
+    # a caller's inventory is its own copy
+    first.kernels["my_kernel"].barrier_sites.clear()
+    del first.kernels["helper"]
+    again = analyze_file(path)
+    assert len(again.kernels["my_kernel"].barrier_sites) == 2
+    assert "helper" in again.kernels
+    # changed text is analysed afresh
+    path.write_text(_KERNEL_SOURCE + "\n\ndef late(ctx):\n    ctx.charge(1)\n")
+    assert "late" in analyze_file(path).kernels
+    assert calls == ["memo_mod", "memo_mod"]

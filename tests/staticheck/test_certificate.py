@@ -12,6 +12,7 @@ from repro.gpusim.device import Device
 from repro.gpusim.scheduler import KernelStats
 from repro.gpusim.spec import DeviceSpec
 from repro.graph import generators as gen
+from repro.staticheck import absint
 from repro.staticheck import (
     DifferentialChecker,
     certify_all,
@@ -25,6 +26,21 @@ from repro.staticheck import (
 
 def test_repo_kernels_are_fully_certified():
     assert verify_inventories() == []
+
+
+def test_second_certification_parses_no_module(monkeypatch):
+    certify_variant(get_variant("ours"))
+    calls = []
+    real = absint.analyze_source
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(absint, "analyze_source", counting)
+    certify_variant(get_variant("ours"))
+    assert verify_inventories() == []
+    assert calls == []
 
 
 def test_certify_all_covers_the_eleven_variants():

@@ -147,6 +147,28 @@ def test_bracket_violation_stats_fire_divergence_bound():
                for f in checker.report.findings)
 
 
+def test_engine_module_is_parsed_once_for_every_variant(monkeypatch):
+    from repro.staticheck import dataflow
+
+    monkeypatch.setattr(dataflow, "_site_cache", {})
+    monkeypatch.setattr(dataflow, "_precond_cache", {})
+    parses = []
+    real = dataflow.ast.parse
+
+    def counting(*args, **kwargs):
+        parses.append(args[0][:10])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(dataflow.ast, "parse", counting)
+    rules = {
+        name: dataflow.engine_preconditions(cfg)
+        for name, cfg in {**VARIANTS, **EXTENSION_VARIANTS}.items()
+    }
+    assert len(parses) == 1
+    assert any(r.fires for r in rules["vw2"])
+    assert not any(r.fires for r in rules["ours"])
+
+
 def test_precondition_violation_stats_fire_engine_precondition():
     checker = DataflowChecker(get_variant("vw2"))
     checker.observe("loop_kernel", fixtures.precondition_violation_stats())
