@@ -7,10 +7,10 @@ Usage::
         [--programs NAMES] [--report FILE]
         [--trajectory FILE | --no-trajectory]
 
-For each dataset the gate runs every program in
-``repro.api.CRITPATHABLE`` — the nine single-GPU kernel x variant
-programs plus the 2- and 4-worker multi-GPU runners — with
-``critpath=True`` and fails the build when:
+For each dataset the gate runs every program whose runner takes
+``critpath`` (``repro.api.supported_keywords``) — the nine single-GPU
+kernel x variant programs plus the 2- and 4-worker multi-GPU runners —
+with ``critpath=True`` and fails the build when:
 
 1. **accounting** — the ``repro.critpath/v1`` record must validate:
    the causal DAG, per-span slack, per-track cycle accounting, and the
@@ -58,7 +58,11 @@ bootstrap()
 
 import numpy as np  # noqa: E402
 
-from repro.api import CRITPATHABLE, decompose  # noqa: E402
+from repro.api import (  # noqa: E402
+    algorithm_names,
+    decompose,
+    supported_keywords,
+)
 from repro.core.variants import get_variant  # noqa: E402
 from repro.graph import datasets  # noqa: E402
 from repro.gpusim.costmodel import CostModel  # noqa: E402
@@ -72,6 +76,11 @@ from repro.staticheck.bounds import launch_env  # noqa: E402
 TRAJECTORY_SCHEMA = "repro.bench-trajectory/v1"
 DEFAULT_TRAJECTORY = RESULTS_DIR / "BENCH_trajectory.json"
 DEFAULT_DATASETS = ("web-Google",)
+#: every program whose runner takes ``critpath=True``
+CRITPATH_PROGRAMS = tuple(sorted(
+    name for name in algorithm_names()
+    if "critpath" in supported_keywords(name)
+))
 
 
 def _refloor(
@@ -189,9 +198,9 @@ def main(argv: List[str] | None = None) -> int:
              f"(default: {','.join(DEFAULT_DATASETS)})",
     )
     parser.add_argument(
-        "--programs", default=",".join(sorted(CRITPATHABLE)),
+        "--programs", default=",".join(CRITPATH_PROGRAMS),
         help="comma-separated programs to analyze "
-             "(default: every CRITPATHABLE program)",
+             "(default: every program that takes critpath)",
     )
     parser.add_argument(
         "--report", metavar="FILE", default=None,
@@ -205,7 +214,7 @@ def main(argv: List[str] | None = None) -> int:
 
     names = [d for d in args.datasets.split(",") if d]
     programs = [p for p in args.programs.split(",") if p]
-    unknown = [p for p in programs if p not in CRITPATHABLE]
+    unknown = [p for p in programs if p not in CRITPATH_PROGRAMS]
     if not names or not programs:
         print("error: need at least one dataset and one program",
               file=sys.stderr)

@@ -3,7 +3,7 @@
 
     python scripts/check_docs.py [--verbose]
 
-Two classes of doc rot this catches:
+Three classes of doc rot this catches:
 
 1. **Broken links** — every relative markdown link (``[x](docs/FOO.md)``,
    ``[y](SIMULATOR.md)``, anchors and ``examples/`` directories
@@ -15,6 +15,13 @@ Two classes of doc rot this catches:
    drift from the parser.  Long options only; flags of *other* tools
    (pytest, pip, mypy) are ignored unless the line invokes
    ``python -m repro``.
+3. **Phantom module names** — every ``repro.<dotted>`` name inside an
+   inline-code span of README.md, DESIGN.md, EXPERIMENTS.md and
+   ``docs/*.md`` must import as a module or resolve as an attribute of
+   one (``repro.api.decompose``, ``repro.systems.*``).  Schema ids
+   (a name followed by ``/``, e.g. ``repro.runreport/v1``) are not
+   code.  The other top-level pages (CHANGES.md, ROADMAP.md, ...) are
+   history and name deleted code on purpose, so they are not walked.
 
 Exit status: 0 OK, 1 findings, 2 configuration error (missing file).
 """
@@ -22,6 +29,7 @@ Exit status: 0 OK, 1 findings, 2 configuration error (missing file).
 from __future__ import annotations
 
 import argparse
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -39,15 +47,29 @@ _LINK = re.compile(r"\[[^\]]*\]\(([^)#\s]+)(?:#[^)]*)?\)")
 _FLAG = re.compile(r"(--[a-z][a-z0-9-]+)")
 _CLI_LINE = re.compile(r"python -m repro\b|^repro\b")
 
+#: the pages whose ``repro.<dotted>`` names must resolve
+NAME_GLOBS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md")
 
-def _doc_files() -> List[Path]:
+#: an inline-code span, and a dotted ``repro`` name inside one
+_SPAN = re.compile(r"`([^`\n]+)`")
+_NAME = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+
+
+def _doc_files(globs: "tuple[str, ...]" = DOC_GLOBS) -> List[Path]:
     files: List[Path] = []
-    for pattern in DOC_GLOBS:
+    for pattern in globs:
         files.extend(sorted(REPO_ROOT.glob(pattern)))
     if not files:
         print("error: no markdown files found", file=sys.stderr)
         raise SystemExit(2)
     return files
+
+
+def _rel(path: Path) -> Path:
+    """``path`` relative to the repo root when it lies inside it."""
+    if path.is_relative_to(REPO_ROOT):
+        return path.relative_to(REPO_ROOT)
+    return path
 
 
 def _cli_flags() -> Set[str]:
@@ -72,8 +94,7 @@ def check_links(path: Path, text: str, problems: List[str]) -> int:
         resolved = (path.parent / target).resolve()
         if not resolved.exists():
             line = text[: match.start()].count("\n") + 1
-            rel = path.relative_to(REPO_ROOT)
-            problems.append(f"{rel}:{line}: broken link -> {target}")
+            problems.append(f"{_rel(path)}:{line}: broken link -> {target}")
     return checked
 
 
@@ -87,10 +108,45 @@ def check_cli_flags(
         for flag in _FLAG.findall(line):
             checked += 1
             if flag not in known:
-                rel = path.relative_to(REPO_ROOT)
                 problems.append(
-                    f"{rel}:{lineno}: unknown repro CLI flag {flag}"
+                    f"{_rel(path)}:{lineno}: unknown repro CLI flag {flag}"
                 )
+    return checked
+
+
+def resolves(name: str) -> bool:
+    """Whether dotted ``name`` imports, or is an attribute chain off
+    the longest prefix of it that imports."""
+    parts = name.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def check_module_names(
+    path: Path, text: str, problems: List[str]
+) -> int:
+    checked = 0
+    for lineno, line in enumerate(text.splitlines(), 1):
+        for span in _SPAN.finditer(line):
+            code = span.group(1)
+            for match in _NAME.finditer(code):
+                if code.startswith("/", match.end()):
+                    continue  # a schema id such as repro.runreport/v1
+                checked += 1
+                if not resolves(match.group()):
+                    problems.append(
+                        f"{_rel(path)}:{lineno}: unknown module name "
+                        f"{match.group()}"
+                    )
     return checked
 
 
@@ -101,24 +157,28 @@ def main(argv: "List[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     bootstrap()
     known_flags = _cli_flags()
+    name_pages = set(_doc_files(NAME_GLOBS))
     problems: List[str] = []
-    n_links = n_flags = 0
+    n_links = n_flags = n_names = 0
     for path in _doc_files():
         text = path.read_text(encoding="utf-8")
         links = check_links(path, text, problems)
         flags = check_cli_flags(path, text, known_flags, problems)
+        names = (check_module_names(path, text, problems)
+                 if path in name_pages else 0)
         n_links += links
         n_flags += flags
+        n_names += names
         if args.verbose:
-            print(f"  {path.relative_to(REPO_ROOT)}: "
-                  f"{links} links, {flags} CLI flags")
+            print(f"  {_rel(path)}: {links} links, {flags} CLI flags, "
+                  f"{names} module names")
     if problems:
         print(f"check_docs: {len(problems)} problem(s)", file=sys.stderr)
         for problem in problems:
             print(f"  {problem}", file=sys.stderr)
         return 1
     print(f"check_docs: OK ({n_links} links, {n_flags} CLI flag "
-          f"mentions across the markdown pages)")
+          f"mentions, {n_names} module names across the markdown pages)")
     return 0
 
 

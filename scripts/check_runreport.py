@@ -8,10 +8,10 @@ Usage::
         [--trajectory FILE | --no-trajectory]
 
 For each dataset the gate runs every matrix algorithm with *all* of its
-telemetry on (trace + profile + memtrace, per the ``repro.api``
-capability sets), merges the results into one unified
-``repro.runreport/v1`` record (:mod:`repro.obs.runreport`), and fails
-the build when:
+telemetry on (trace, plus whichever of profile, memtrace and critpath
+its runner takes per ``repro.api.supported_keywords``), merges the
+results into one unified ``repro.runreport/v1`` record
+(:mod:`repro.obs.runreport`), and fails the build when:
 
 1. **schema + invariants** — the report must validate: every
    cross-layer consistency invariant (memtrace peak == result peak,

@@ -4,23 +4,34 @@
 by its Table III/IV name.  The registry is also what the benchmark
 harness iterates over, so the set of names here *is* the set of columns
 the paper's tables have.
+
+Each entry is a :func:`functools.partial` of its program function, and
+that function's signature is the one record of which keywords the
+program takes: :func:`supported_keywords` reads it, and every layer
+that asks "does this program support ``memtrace`` / ``critpath`` /
+``engine`` / ..." (the CLI, the run-report collector, the bench
+harness, the CI gates) asks it instead of keeping its own list.
 """
 
 from __future__ import annotations
 
+import inspect
+import tempfile
 from dataclasses import replace
-from typing import Callable, Dict, FrozenSet, Tuple
+from functools import lru_cache, partial
+from typing import Any, Dict, FrozenSet, Tuple
 
 from repro.core.fastpath import fast_decompose
 from repro.core.host import gpu_peel
 from repro.core.multigpu import multi_gpu_peel
 from repro.core.variants import variant_names
 from repro.cpu.bz import bz_decompose
+from repro.cpu.external import SemiExternalConfig, decompose_graph_via_disk
 from repro.cpu.mpm import mpm_decompose
 from repro.cpu.naive import networkx_style_decompose
 from repro.cpu.park import park_decompose
 from repro.cpu.pkc import pkc_decompose
-from repro.errors import UnknownAlgorithmError
+from repro.errors import UnknownAlgorithmError, UnsupportedKeywordError
 from repro.graph.csr import CSRGraph
 from repro.result import DecompositionResult
 from repro.systems.gswitch import gswitch_decompose
@@ -30,42 +41,28 @@ from repro.systems.vetga import vetga_decompose
 
 __all__ = [
     "ALGORITHMS",
-    "CRITPATHABLE",
-    "ENGINEABLE",
-    "MEMTRACEABLE",
-    "PROFILABLE",
-    "DATAFLOWABLE",
-    "SANITIZABLE",
-    "STATICHECKABLE",
     "algorithm_names",
     "decompose",
+    "supported_keywords",
 ]
 
-#: the graph-parallel system emulations of Table III
-_SYSTEM_NAMES = ("vetga", "medusa-mpm", "medusa-peel", "gunrock", "gswitch")
-
-Runner = Callable[..., DecompositionResult]
+Runner = partial[DecompositionResult]
 
 
-def _gpu_variant_runner(variant: str) -> Runner:
-    def run(graph: CSRGraph, **kwargs) -> DecompositionResult:
-        return gpu_peel(graph, variant=variant, **kwargs)
-
-    return run
-
-
-def _semi_external_runner(graph: CSRGraph, **kwargs) -> DecompositionResult:
+def _semi_external_runner(
+    graph: CSRGraph,
+    config: SemiExternalConfig | None = None,
+    memtrace: bool = False,
+) -> DecompositionResult:
     """Spill the graph to a temporary directory and run the disk path."""
-    import tempfile
-
-    from repro.cpu.external import decompose_graph_via_disk
-
     with tempfile.TemporaryDirectory() as work_dir:
-        return decompose_graph_via_disk(graph, work_dir, **kwargs)
+        return decompose_graph_via_disk(
+            graph, work_dir, config=config, memtrace=memtrace
+        )
 
 
 def _fast_runner(
-    graph: CSRGraph, sanitize: bool = False, **kwargs
+    graph: CSRGraph, sanitize: bool = False
 ) -> DecompositionResult:
     result = fast_decompose(graph)
     if not sanitize:
@@ -80,148 +77,39 @@ def _fast_runner(
 def _build_registry() -> Dict[str, Runner]:
     registry: Dict[str, Runner] = {
         # the paper's own program and its fast native path
-        "gpu-ours": _gpu_variant_runner("ours"),
-        "fast": _fast_runner,
+        "gpu-ours": partial(gpu_peel, variant="ours"),
+        "fast": partial(_fast_runner),
         # CPU programs (Table IV)
-        "networkx": networkx_style_decompose,
-        "bz": bz_decompose,
-        "park-serial": lambda g, **kw: park_decompose(g, parallel=False, **kw),
-        "park": lambda g, **kw: park_decompose(g, parallel=True, **kw),
-        "pkc-o-serial": lambda g, **kw: pkc_decompose(
-            g, parallel=False, compact=False, **kw
-        ),
-        "pkc-o": lambda g, **kw: pkc_decompose(
-            g, parallel=True, compact=False, **kw
-        ),
-        "mpm": lambda g, **kw: mpm_decompose(g, parallel=True, **kw),
-        "mpm-serial": lambda g, **kw: mpm_decompose(g, parallel=False, **kw),
-        "pkc-serial": lambda g, **kw: pkc_decompose(
-            g, parallel=False, compact=True, **kw
-        ),
-        "pkc": lambda g, **kw: pkc_decompose(g, parallel=True, compact=True, **kw),
+        "networkx": partial(networkx_style_decompose),
+        "bz": partial(bz_decompose),
+        "park-serial": partial(park_decompose, parallel=False),
+        "park": partial(park_decompose, parallel=True),
+        "pkc-o-serial": partial(pkc_decompose, parallel=False, compact=False),
+        "pkc-o": partial(pkc_decompose, parallel=True, compact=False),
+        "mpm": partial(mpm_decompose, parallel=True),
+        "mpm-serial": partial(mpm_decompose, parallel=False),
+        "pkc-serial": partial(pkc_decompose, parallel=False, compact=True),
+        "pkc": partial(pkc_decompose, parallel=True, compact=True),
         # the Section II-C semi-external (disk-streaming) model
-        "semi-external": _semi_external_runner,
+        "semi-external": partial(_semi_external_runner),
         # GPU systems (Table III)
-        "vetga": vetga_decompose,
-        "medusa-mpm": lambda g, **kw: medusa_decompose(g, program="mpm", **kw),
-        "medusa-peel": lambda g, **kw: medusa_decompose(g, program="peel", **kw),
-        "gunrock": gunrock_decompose,
-        "gswitch": gswitch_decompose,
+        "vetga": partial(vetga_decompose),
+        "medusa-mpm": partial(medusa_decompose, program="mpm"),
+        "medusa-peel": partial(medusa_decompose, program="peel"),
+        "gunrock": partial(gunrock_decompose),
+        "gswitch": partial(gswitch_decompose),
         # the Section VII future-work extension
-        "gpu-multi2": lambda g, **kw: multi_gpu_peel(g, num_devices=2, **kw),
-        "gpu-multi4": lambda g, **kw: multi_gpu_peel(g, num_devices=4, **kw),
+        "gpu-multi2": partial(multi_gpu_peel, num_devices=2),
+        "gpu-multi4": partial(multi_gpu_peel, num_devices=4),
     }
     # the ablation variants (Table II): gpu-ours, gpu-sm, gpu-vp, ...
     for name in variant_names():
-        registry.setdefault(f"gpu-{name}", _gpu_variant_runner(name))
+        registry.setdefault(f"gpu-{name}", partial(gpu_peel, variant=name))
     return registry
 
 
 #: name -> runner for every program in the repository
 ALGORITHMS: Dict[str, Runner] = _build_registry()
-
-#: algorithms whose runner accepts ``sanitize=True`` (the kernel
-#: sanitizer, ``docs/SANITIZER.md``): the simulated-GPU kernels get the
-#: dynamic racecheck, the system emulations and the native fast path
-#: get the static lint sweep; the CPU baselines model no device and
-#: support neither
-SANITIZABLE: FrozenSet[str] = frozenset(
-    name
-    for name in ALGORITHMS
-    if name == "fast" or name.startswith("gpu-") or name in _SYSTEM_NAMES
-)
-
-
-#: algorithms whose runner accepts ``staticheck=True`` (the static
-#: resource certifier's differential checker, ``docs/STATIC_ANALYSIS.md``):
-#: the single-GPU peeling variants, whose kernels have closed-form
-#: certificates in ``repro.staticheck``.  The system emulations and CPU
-#: baselines launch no SIMT kernels, and the multi-GPU runner composes
-#: per-device runs the checker does not yet model.
-STATICHECKABLE: FrozenSet[str] = frozenset(
-    f"gpu-{name}" for name in variant_names()
-)
-
-
-#: algorithms whose runner accepts ``dataflow=True`` (the static
-#: dataflow analyzer's launch checker, :mod:`repro.staticheck.dataflow`):
-#: the single-GPU peeling variants, whose two kernels the abstract
-#: interpreter covers.  Unlike ``staticheck`` the dataflow tier also
-#: accepts ring-buffer configs — their undischargeable race obligations
-#: surface as explicit ``unproven-race-freedom`` warnings.
-DATAFLOWABLE: FrozenSet[str] = frozenset(
-    f"gpu-{name}" for name in variant_names()
-)
-
-
-#: the multicore CPU baselines (Table IV), whose runners accept
-#: ``profile=True`` (per-epoch bound attribution,
-#: :mod:`repro.multicore.profile`) and ``memtrace=True``
-#: (allocation-lifetime telemetry for the modelled working arrays)
-_MULTICORE_NAMES = (
-    "park", "park-serial",
-    "pkc", "pkc-serial", "pkc-o", "pkc-o-serial",
-    "mpm", "mpm-serial",
-)
-
-
-#: algorithms whose runner accepts ``profile=True`` (the kernel
-#: profiler's speed-of-light reports, :mod:`repro.profile`): the
-#: single-GPU peeling variants, which launch real SIMT kernels whose
-#: per-block timings the profiler attributes, plus the system
-#: emulations, whose labelled :meth:`~repro.gpusim.device.Device.charge`
-#: calls become coarse ``source="charge"`` records, plus the multicore
-#: CPU baselines, whose :class:`~repro.multicore.machine.
-#: SimulatedMulticore` attributes every epoch to a roofline-style
-#: bound class (``repro.cpu-epochs/v1``).  The multi-GPU runner
-#: composes per-device runs the profiler does not yet merge.
-PROFILABLE: FrozenSet[str] = (
-    frozenset(f"gpu-{name}" for name in variant_names())
-    | frozenset(_SYSTEM_NAMES)
-    | frozenset(_MULTICORE_NAMES)
-)
-
-
-#: algorithms whose runner accepts ``engine=...`` (an execution-engine
-#: selection for the SIMT simulator, ``docs/SIMULATOR.md``): the
-#: single- and multi-GPU peeling runners, whose kernels run on a
-#: :class:`~repro.gpusim.device.Device`.  Engines are byte-identical by
-#: contract, so the choice only affects host wall-clock time.  The CPU
-#: baselines, the native fast path and the system emulations take no
-#: engine (the emulations charge logical kernels without executing
-#: SIMT code).
-ENGINEABLE: FrozenSet[str] = frozenset(
-    name for name in ALGORITHMS if name.startswith("gpu-")
-)
-
-
-#: algorithms whose runner accepts ``memtrace=True`` (memory telemetry
-#: with exact peak attribution, :mod:`repro.memtrace`): everything that
-#: models memory — the single- and multi-GPU peeling runners and the
-#: system emulations (simulated device memory), the multicore CPU
-#: baselines and the semi-external disk path (modelled host working
-#: arrays).  The serial reference implementations (``bz``,
-#: ``networkx``) and the native fast path model no memory.
-MEMTRACEABLE: FrozenSet[str] = (
-    frozenset(name for name in ALGORITHMS if name.startswith("gpu-"))
-    | frozenset(_SYSTEM_NAMES)
-    | frozenset(_MULTICORE_NAMES)
-    | frozenset({"semi-external"})
-)
-
-
-#: algorithms whose runner accepts ``critpath=True`` (the causal
-#: critical-path analyzer with what-if projections,
-#: :mod:`repro.obs.critpath`): the single-GPU peeling variants, whose
-#: per-block kernel timings the analyzer replays exactly, and the
-#: multi-GPU runners, whose coordinator cost terms it attributes to
-#: compute-, straggler-, or exchange-bound rounds.  The system
-#: emulations charge logical kernels without per-block timings, and the
-#: CPU baselines model no device timeline, so neither can be analyzed.
-CRITPATHABLE: FrozenSet[str] = (
-    frozenset(f"gpu-{name}" for name in variant_names())
-    | frozenset({"gpu-multi2", "gpu-multi4"})
-)
 
 
 def algorithm_names() -> Tuple[str, ...]:
@@ -229,8 +117,36 @@ def algorithm_names() -> Tuple[str, ...]:
     return tuple(ALGORITHMS)
 
 
+def _runner(name: str) -> Runner:
+    try:
+        return ALGORITHMS[name]
+    except KeyError:
+        raise UnknownAlgorithmError(
+            f"unknown algorithm {name!r}; known: "
+            f"{', '.join(sorted(ALGORITHMS))}"
+        ) from None
+
+
+@lru_cache(maxsize=None)
+def supported_keywords(name: str) -> FrozenSet[str]:
+    """The keywords :func:`decompose` accepts for program ``name``.
+
+    Read off the runner's signature: its parameters minus the graph and
+    minus the ones the registry entry binds (``variant``, ``parallel``,
+    ``compact``, ``program``, ``num_devices``).  ``"memtrace" in
+    supported_keywords(name)`` is how every caller asks whether a
+    program supports an observer.
+
+    Raises:
+        UnknownAlgorithmError: ``name`` is not registered.
+    """
+    runner = _runner(name)
+    _graph, *params = inspect.signature(runner.func).parameters
+    return frozenset(params) - frozenset(runner.keywords)
+
+
 def decompose(
-    graph: CSRGraph, algorithm: str = "gpu-ours", **kwargs
+    graph: CSRGraph, algorithm: str = "gpu-ours", **kwargs: Any
 ) -> DecompositionResult:
     """Run the named program on ``graph``.
 
@@ -239,16 +155,22 @@ def decompose(
         algorithm: a registry name, e.g. ``"gpu-ours"``, ``"bz"``,
             ``"pkc"``, ``"gswitch"``; see :func:`algorithm_names`.
         **kwargs: forwarded to the program (e.g. ``time_budget_ms`` for
-            the GPU systems, ``cost`` for the CPU programs).
+            the GPU systems, ``cost`` for the CPU programs); must be a
+            subset of :func:`supported_keywords`.
 
     Returns:
         The program's :class:`~repro.result.DecompositionResult`.
+
+    Raises:
+        UnknownAlgorithmError: ``algorithm`` is not registered.
+        UnsupportedKeywordError: a keyword the program does not take,
+            including one its registry entry binds (``variant`` for
+            ``gpu-*``, ``parallel`` for the CPU baselines, ...); raised
+            before anything runs.  It is also a :class:`TypeError`.
     """
-    try:
-        runner = ALGORITHMS[algorithm]
-    except KeyError:
-        raise UnknownAlgorithmError(
-            f"unknown algorithm {algorithm!r}; known: "
-            f"{', '.join(sorted(ALGORITHMS))}"
-        ) from None
+    runner = _runner(algorithm)
+    supported = supported_keywords(algorithm)
+    rejected = set(kwargs) - supported
+    if rejected:
+        raise UnsupportedKeywordError(algorithm, rejected, supported)
     return runner(graph, **kwargs)

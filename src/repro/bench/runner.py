@@ -14,7 +14,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.api import MEMTRACEABLE, decompose
+from repro.api import decompose, supported_keywords
 from repro.errors import (
     BufferOverflowError,
     DeviceOutOfMemoryError,
@@ -38,10 +38,10 @@ class Outcome:
     """One cell of a paper table.
 
     ``peak_bytes`` / ``attribution`` carry the exact memory telemetry
-    behind ``peak_memory_mb`` when the program is memtraceable
-    (:data:`repro.api.MEMTRACEABLE`): ``attribution`` maps every array
-    live at the peak (plus the ``(context)`` base) to its bytes, and
-    sums exactly to ``peak_bytes``.
+    behind ``peak_memory_mb`` when the program's runner takes
+    ``memtrace`` (:func:`repro.api.supported_keywords`): ``attribution``
+    maps every array live at the peak (plus the ``(context)`` base) to
+    its bytes, and sums exactly to ``peak_bytes``.
     """
 
     algorithm: str
@@ -86,11 +86,8 @@ def _takes_peel_options(algorithm: str) -> bool:
 def _kwargs_for(algorithm: str, budget_ms: Optional[float]) -> dict:
     if budget_ms is None:
         return {}
-    gpu_side = algorithm in {
-        "vetga", "medusa-mpm", "medusa-peel", "gunrock", "gswitch"
-    }
-    if gpu_side:
-        return {"time_budget_ms": budget_ms}
+    if "time_budget_ms" in supported_keywords(algorithm):
+        return {"time_budget_ms": budget_ms}  # the GPU systems
     if _takes_peel_options(algorithm):
         from repro.core.host import GpuPeelOptions
 
@@ -117,7 +114,7 @@ def run_program(
     result: Optional[DecompositionResult] = None
     for rep in range(max(1, repeats)):
         kwargs = _kwargs_for(algorithm, budget_ms)
-        if algorithm in MEMTRACEABLE:
+        if "memtrace" in supported_keywords(algorithm):
             # memory telemetry is observability-only (byte-identical
             # simulated time and peak), so every bench run carries it
             kwargs["memtrace"] = True

@@ -48,8 +48,7 @@ records of their logical kernels.
 exact attribution breakdown of the memory peak.  With a ``FILE``
 argument the ``repro.memtrace/v1`` JSON report is written there too.
 Error findings (double-free, use-after-free) make the exit status 1.
-Supported for everything that allocates simulated device memory
-(``repro.api.MEMTRACEABLE``).
+Supported for every program that models memory.
 
 ``--critpath [FILE]`` runs the causal critical-path analyzer (see the
 "Critical path & what-if" section of ``docs/OBSERVABILITY.md``) and
@@ -61,15 +60,18 @@ certificates below.  For the multi-GPU algorithms every sub-round is
 additionally classified compute-, straggler-, or exchange-bound.
 With a ``FILE`` argument the ``repro.critpath/v1`` JSON record is
 written there too.  The validator re-derives the whole record exactly;
-violations exit 1.  Supported for the simulated peeling algorithms
-(``repro.api.CRITPATHABLE``).
+violations exit 1.  Supported for the simulated peeling algorithms.
 
 ``--engine NAME`` selects the simulator execution engine for the
-``gpu-*`` algorithms (``repro.api.ENGINEABLE``): ``reference``
-or ``vectorized`` (the default).  Engines are byte-identical
-by contract — the same simulated milliseconds, counters and memory
-peaks — so the flag only changes host wall-clock time; see
-``docs/SIMULATOR.md``.
+``gpu-*`` algorithms: ``reference`` or ``vectorized`` (the default).
+Engines are byte-identical by contract — the same simulated
+milliseconds, counters and memory peaks — so the flag only changes host
+wall-clock time; see ``docs/SIMULATOR.md``.
+
+Each of these observer flags turns on one runner keyword, and
+``repro.api.supported_keywords`` (read off the registry's runner
+signatures) decides which algorithms take it: any other algorithm
+exits 2 with the list of those that do.
 
 ``--report [FILE]`` runs every requested algorithm with full telemetry
 (trace, profile, memtrace — whatever each supports), merges the
@@ -97,17 +99,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.api import (
-    CRITPATHABLE,
-    DATAFLOWABLE,
-    ENGINEABLE,
-    MEMTRACEABLE,
-    PROFILABLE,
-    SANITIZABLE,
-    STATICHECKABLE,
-    algorithm_names,
-    decompose,
-)
+from repro.api import algorithm_names, decompose, supported_keywords
 from repro.graph import datasets
 from repro.gpusim.engine import DEFAULT_ENGINE, available_engines
 from repro.graph.io import read_edgelist
@@ -375,18 +367,21 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(name)
         return 0
 
+    # flag, the runner keyword it turns on, whether given; the registry
+    # (repro.api.supported_keywords) decides which programs take it
+    observers = (
+        ("--sanitize", "sanitize", args.sanitize),
+        ("--staticheck", "staticheck", args.staticheck),
+        ("--dataflow", "dataflow", args.dataflow),
+        ("--ncu", "profile", args.ncu is not None),
+        ("--memtrace", "memtrace", args.memtrace is not None),
+        ("--critpath", "critpath", args.critpath is not None),
+        ("--engine", "engine", args.engine is not None),
+    )
     report_algorithms: list[str] = []
     if args.report is not None:
-        incompatible = [flag for flag, on in (
-            ("--profile", args.profile is not None),
-            ("--sanitize", args.sanitize),
-            ("--staticheck", args.staticheck),
-            ("--dataflow", args.dataflow),
-            ("--ncu", args.ncu is not None),
-            ("--memtrace", args.memtrace is not None),
-            ("--critpath", args.critpath is not None),
-            ("--engine", args.engine is not None),
-        ) if on]
+        incompatible = ["--profile"] if args.profile is not None else []
+        incompatible += [flag for flag, _, given in observers if given]
         if incompatible:
             print("error: --report already merges every telemetry "
                   "vertical and cannot be combined with "
@@ -406,20 +401,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: unknown algorithm {args.algorithm!r}{hint}",
               file=sys.stderr)
         return 2
-    # flag, the runner keyword it turns on, whether given, who supports it
-    observers = (
-        ("--sanitize", "sanitize", args.sanitize, SANITIZABLE),
-        ("--staticheck", "staticheck", args.staticheck, STATICHECKABLE),
-        ("--dataflow", "dataflow", args.dataflow, DATAFLOWABLE),
-        ("--ncu", "profile", args.ncu is not None, PROFILABLE),
-        ("--engine", "engine", args.engine is not None, ENGINEABLE),
-        ("--memtrace", "memtrace", args.memtrace is not None, MEMTRACEABLE),
-        ("--critpath", "critpath", args.critpath is not None, CRITPATHABLE),
-    )
-    for flag, _, given, supported in observers:
-        if given and args.algorithm not in supported:
+    for flag, keyword, given in observers:
+        if given and keyword not in supported_keywords(args.algorithm):
+            supported = sorted(name for name in algorithm_names()
+                               if keyword in supported_keywords(name))
             print(f"error: algorithm {args.algorithm!r} does not support "
-                  f"{flag} (supported: {', '.join(sorted(supported))})",
+                  f"{flag} (supported: {', '.join(supported)})",
                   file=sys.stderr)
             return 2
     if args.dataset:
@@ -454,7 +441,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 1
         return 0
 
-    run_kwargs = {key: True for _, key, given, _ in observers if given}
+    run_kwargs = {key: True for _, key, given in observers if given}
     if args.engine is not None:
         run_kwargs["engine"] = args.engine
     if args.profile:

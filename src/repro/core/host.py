@@ -42,10 +42,9 @@ __all__ = ["gpu_peel", "GpuPeelOptions"]
 
 @dataclass(frozen=True)
 class GpuPeelOptions:
-    """Tunables of a simulated-GPU peeling run."""
+    """Tunables of a simulated-GPU peeling run (the kernel variant is
+    :func:`gpu_peel`'s own ``variant`` argument)."""
 
-    #: kernel variant name or config (Table II column)
-    variant: str | VariantConfig = "ours"
     #: per-block buffer capacity in vertex IDs; ``None`` = the device
     #: spec's default (the paper fixes 1M IDs per block)
     buffer_capacity: int | None = None
@@ -86,8 +85,8 @@ def gpu_peel(
             or inspect metrics); otherwise one is created from ``spec``
             and ``cost_model``.  The requested observers are attached
             to it unless it already carries its own.
-        options: further tunables; ``options.variant`` is overridden by
-            the explicit ``variant`` argument when both are given.
+        options: further tunables: buffer capacity, time budget and
+            the schedule-fuzzing knobs (:class:`GpuPeelOptions`).
         tracer: an explicit :class:`~repro.obs.tracer.Tracer` for this
             run (``KCoreDecomposer(trace=True)`` passes one); without
             it, a freshly created device still picks up the process-wide
@@ -147,10 +146,10 @@ def gpu_peel(
         whose ``counters`` carry the documented observability metrics.
     """
     opts = options or GpuPeelOptions()
-    chosen = variant
-    if variant == "ours" and opts.variant != "ours":
-        chosen = opts.variant  # explicit argument wins over options
-    cfg = chosen if isinstance(chosen, VariantConfig) else get_variant(chosen)
+    cfg = (
+        variant if isinstance(variant, VariantConfig)
+        else get_variant(variant)
+    )
     run = HostRun(
         cfg, f"gpu-{cfg.name}", tracer=tracer, engine=engine,
         sanitize=sanitize, staticheck=staticheck, dataflow=dataflow,

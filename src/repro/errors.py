@@ -30,6 +30,26 @@ class UnknownAlgorithmError(ReproError, KeyError):
     """An algorithm name is not present in the algorithm registry."""
 
 
+class UnsupportedKeywordError(ReproError, TypeError):
+    """:func:`repro.api.decompose` was passed a keyword the program's
+    runner does not take (see :func:`repro.api.supported_keywords`).
+
+    Also derives from :class:`TypeError`, which is what calling the
+    runner with an unexpected keyword raised before the check existed.
+    """
+
+    def __init__(self, algorithm: str, rejected: set[str],
+                 supported: frozenset[str]) -> None:
+        self.algorithm = algorithm
+        self.rejected = frozenset(rejected)
+        self.supported = supported
+        super().__init__(
+            f"algorithm {algorithm!r} does not support keyword(s) "
+            f"{', '.join(sorted(rejected))} "
+            f"(supported: {', '.join(sorted(supported))})"
+        )
+
+
 class DeviceError(ReproError):
     """Base class for simulated-GPU failures."""
 

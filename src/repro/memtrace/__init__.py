@@ -16,8 +16,8 @@ Enable it anywhere in the stack:
   lands on ``result.memtrace``;
 * the system emulations (``gunrock_decompose(memtrace=True)``, ...)
   and ``multi_gpu_peel(memtrace=True)`` (one worker section per GPU);
-* CLI ``--memtrace [FILE]`` for any algorithm in
-  ``repro.api.MEMTRACEABLE``.
+* CLI ``--memtrace [FILE]`` for any algorithm whose runner takes
+  ``memtrace`` (``repro.api.supported_keywords``).
 
 Like every observability layer here, memtrace never perturbs the run:
 simulated time, counters, core numbers, and the peak itself are

@@ -776,25 +776,24 @@ def collect_run_report(
     """Run ``algorithms`` over ``graph`` with full telemetry and merge
     the results into one report.
 
-    Each algorithm gets every observability vertical it supports
-    (profile, memtrace — per the :mod:`repro.api` capability sets),
-    plus a fresh process-wide tracer per run when ``trace`` is on so
-    the report's trace cross-checks are exercised; all of it is
-    observability-only, so the results are byte-identical to plain
-    runs.  Returns ``(report, results)``.
+    Each algorithm gets every observability vertical its runner takes
+    (profile, memtrace, critpath — per
+    :func:`repro.api.supported_keywords`), plus a fresh process-wide
+    tracer per run when ``trace`` is on so the report's trace
+    cross-checks are exercised; all of it is observability-only, so the
+    results are byte-identical to plain runs.  Returns
+    ``(report, results)``.
     """
     from repro import api  # lazy: api imports the world
     from repro.obs.tracer import start_tracing, stop_tracing
 
     results = []
     for name in algorithms:
-        kwargs: Dict[str, Any] = {}
-        if name in api.PROFILABLE:
-            kwargs["profile"] = True
-        if name in api.MEMTRACEABLE:
-            kwargs["memtrace"] = True
-        if name in api.CRITPATHABLE:
-            kwargs["critpath"] = True
+        supported = api.supported_keywords(name)
+        kwargs: Dict[str, Any] = {
+            key: True for key in ("profile", "memtrace", "critpath")
+            if key in supported
+        }
         if trace:
             start_tracing()  # a fresh tracer per run: no cross-talk
             try:

@@ -1,10 +1,12 @@
-"""Shared fixtures: reference graphs and ground-truth core numbers."""
+"""Shared fixtures: reference graphs and ground-truth core numbers, and
+the pinned table of which programs take which observer keyword."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.api import algorithm_names, supported_keywords
 from repro.cpu.bz import bz_core_numbers
 from repro.graph import generators as gen
 from repro.graph.csr import CSRGraph
@@ -87,3 +89,40 @@ def assert_cores_equal(core: np.ndarray, reference: np.ndarray, label: str = "")
         raise AssertionError(
             f"{label}: {bad.size} wrong core numbers ({detail})"
         )
+
+
+# -- which programs take which observer keyword ------------------------------
+
+_PEEL = frozenset({
+    "gpu-ours", "gpu-sm", "gpu-vp", "gpu-bc", "gpu-bc+sm", "gpu-bc+vp",
+    "gpu-ec", "gpu-ec+sm", "gpu-ec+vp",
+})
+_MULTI_GPU = frozenset({"gpu-multi2", "gpu-multi4"})
+_SYSTEMS = frozenset({
+    "vetga", "medusa-mpm", "medusa-peel", "gunrock", "gswitch",
+})
+_MULTICORE = frozenset({
+    "park", "park-serial", "pkc", "pkc-serial", "pkc-o", "pkc-o-serial",
+    "mpm", "mpm-serial",
+})
+
+#: observer keyword -> every program whose runner takes it, written out
+#: so that a signature edit which drops (or adds) an observer fails
+OBSERVER_PROGRAMS = {
+    "sanitize": _PEEL | _MULTI_GPU | _SYSTEMS | {"fast"},
+    "staticheck": _PEEL,
+    "dataflow": _PEEL,
+    "profile": _PEEL | _SYSTEMS | _MULTICORE,
+    "engine": _PEEL | _MULTI_GPU,
+    "memtrace": _PEEL | _MULTI_GPU | _SYSTEMS | _MULTICORE
+    | {"semi-external"},
+    "critpath": _PEEL | _MULTI_GPU,
+}
+
+
+def programs_taking(keyword: str) -> frozenset[str]:
+    """The registry's own answer: programs whose runner takes ``keyword``."""
+    return frozenset(
+        name for name in algorithm_names()
+        if keyword in supported_keywords(name)
+    )

@@ -47,15 +47,14 @@ def test_prebuilt_device_gets_every_requested_observer(driver):
 
 def test_peel_options_hold_only_the_run_tunables():
     assert [f.name for f in dataclasses.fields(GpuPeelOptions)] == [
-        "variant", "buffer_capacity", "time_budget_ms", "preempt_prob",
-        "seed",
+        "buffer_capacity", "time_budget_ms", "preempt_prob", "seed",
     ]
 
 
 def test_decomposer_keeps_observers_next_to_options():
     graph, expected = fig1_graph()
     result = KCoreDecomposer(
-        mode="simulate", options=GpuPeelOptions(variant="bc"),
+        mode="simulate", variant="bc",
         sanitize=True, memtrace=True, critpath=True,
     ).decompose(graph)
     assert result.algorithm == "gpu-bc"

@@ -93,18 +93,6 @@ class TestOptionsAndErrors:
         with pytest.raises(UnknownAlgorithmError):
             gpu_peel(fig1[0], variant="warp9")
 
-    def test_options_variant_used_when_argument_default(self, fig1):
-        graph, _ = fig1
-        result = gpu_peel(graph, options=GpuPeelOptions(variant="bc"))
-        assert result.algorithm == "gpu-bc"
-
-    def test_explicit_argument_wins_over_options(self, fig1):
-        graph, _ = fig1
-        result = gpu_peel(
-            graph, variant="ec", options=GpuPeelOptions(variant="bc")
-        )
-        assert result.algorithm == "gpu-ec"
-
     def test_vp_requires_two_warps(self, fig1):
         spec = DeviceSpec(default_block_dim=32, default_grid_dim=2)
         with pytest.raises(ReproError):

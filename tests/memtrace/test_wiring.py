@@ -4,13 +4,14 @@ bench runner, and CLI."""
 import numpy as np
 import pytest
 
-from repro.api import MEMTRACEABLE, decompose
+from repro.api import decompose
 from repro.core.decomposer import KCoreDecomposer
 from repro.core.host import GpuPeelOptions, gpu_peel
 from repro.core.multigpu import multi_gpu_peel
 from repro.gpusim.device import Device
 from repro.graph import generators as gen
 from repro.memtrace import validate_memtrace
+from tests.conftest import programs_taking
 
 
 @pytest.fixture(scope="module")
@@ -64,7 +65,7 @@ def test_decomposer_memtrace_flag(graph):
 
 
 def test_every_memtraceable_algorithm_reports_exact_attribution(graph):
-    for name in sorted(MEMTRACEABLE):
+    for name in sorted(programs_taking("memtrace")):
         result = decompose(graph, name, memtrace=True)
         report = result.memtrace
         assert report is not None, name
@@ -74,11 +75,12 @@ def test_every_memtraceable_algorithm_reports_exact_attribution(graph):
 
 
 def test_memtraceable_covers_variants_and_systems():
-    assert "gpu-ours" in MEMTRACEABLE
-    assert "gpu-multi2" in MEMTRACEABLE
+    memtraceable = programs_taking("memtrace")
+    assert "gpu-ours" in memtraceable
+    assert "gpu-multi2" in memtraceable
     assert {"vetga", "medusa-mpm", "medusa-peel", "gunrock",
-            "gswitch"} <= MEMTRACEABLE
-    assert "bz" not in MEMTRACEABLE  # CPU programs have no device
+            "gswitch"} <= memtraceable
+    assert "bz" not in memtraceable  # CPU programs have no device
 
 
 def test_system_emulation_attributes_init_scope(graph):

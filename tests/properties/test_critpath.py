@@ -32,19 +32,19 @@ def peel_setups(draw):
         background_degree=3.0,
         seed=draw(st.integers(min_value=0, max_value=50)),
     )
+    variant = draw(st.sampled_from(VARIANT_POOL))
     options = GpuPeelOptions(
-        variant=draw(st.sampled_from(VARIANT_POOL)),
         seed=draw(st.integers(min_value=0, max_value=1000)),
     )
-    return graph, options
+    return graph, variant, options
 
 
 @given(peel_setups())
 @settings(max_examples=10, deadline=None)
 def test_analysis_never_perturbs_the_run(setup):
-    graph, options = setup
-    analyzed = gpu_peel(graph, options=options, critpath=True)
-    plain = gpu_peel(graph, options=options)
+    graph, variant, options = setup
+    analyzed = gpu_peel(graph, variant, options=options, critpath=True)
+    plain = gpu_peel(graph, variant, options=options)
     assert plain.critpath is None
     assert analyzed.simulated_ms == plain.simulated_ms
     assert analyzed.rounds == plain.rounds
@@ -55,8 +55,8 @@ def test_analysis_never_perturbs_the_run(setup):
 @given(peel_setups())
 @settings(max_examples=10, deadline=None)
 def test_record_invariants_hold_for_any_run(setup):
-    graph, options = setup
-    result = gpu_peel(graph, options=options, critpath=True)
+    graph, variant, options = setup
+    result = gpu_peel(graph, variant, options=options, critpath=True)
     report = result.critpath
     assert report.validate() == []
     record = report.record

@@ -30,20 +30,20 @@ def peel_setups(draw):
         background_degree=3.0,
         seed=draw(st.integers(min_value=0, max_value=50)),
     )
+    variant = draw(st.sampled_from(VARIANT_POOL))
     options = GpuPeelOptions(
-        variant=draw(st.sampled_from(VARIANT_POOL)),
         preempt_prob=draw(st.sampled_from([0.0, 0.3])),
         seed=draw(st.integers(min_value=0, max_value=1000)),
     )
-    return graph, options
+    return graph, variant, options
 
 
 @given(peel_setups())
 @settings(max_examples=10, deadline=None)
 def test_memtrace_never_perturbs_the_run(setup):
-    graph, options = setup
-    traced = gpu_peel(graph, options=options, memtrace=True)
-    plain = gpu_peel(graph, options=options)
+    graph, variant, options = setup
+    traced = gpu_peel(graph, variant, options=options, memtrace=True)
+    plain = gpu_peel(graph, variant, options=options)
     assert plain.memtrace is None
     assert traced.simulated_ms == plain.simulated_ms
     assert traced.rounds == plain.rounds
@@ -55,8 +55,8 @@ def test_memtrace_never_perturbs_the_run(setup):
 @given(peel_setups())
 @settings(max_examples=10, deadline=None)
 def test_memtrace_invariants_hold_for_any_run(setup):
-    graph, options = setup
-    result = gpu_peel(graph, options=options, memtrace=True)
+    graph, variant, options = setup
+    result = gpu_peel(graph, variant, options=options, memtrace=True)
     report = result.memtrace
     assert validate_memtrace(report.to_json()) == []
     assert report.peak_bytes == result.peak_memory_bytes

@@ -30,20 +30,20 @@ def peel_setups(draw):
         background_degree=3.0,
         seed=draw(st.integers(min_value=0, max_value=50)),
     )
+    variant = draw(st.sampled_from(VARIANT_POOL))
     options = GpuPeelOptions(
-        variant=draw(st.sampled_from(VARIANT_POOL)),
         preempt_prob=draw(st.sampled_from([0.0, 0.3])),
         seed=draw(st.integers(min_value=0, max_value=1000)),
     )
-    return graph, options
+    return graph, variant, options
 
 
 @given(peel_setups())
 @settings(max_examples=10, deadline=None)
 def test_profiling_never_perturbs_simulated_time(setup):
-    graph, options = setup
-    profiled = gpu_peel(graph, options=options, profile=True)
-    plain = gpu_peel(graph, options=options)
+    graph, variant, options = setup
+    profiled = gpu_peel(graph, variant, options=options, profile=True)
+    plain = gpu_peel(graph, variant, options=options)
     assert plain.profile is None
     assert profiled.simulated_ms == plain.simulated_ms
     assert profiled.rounds == plain.rounds
@@ -54,8 +54,8 @@ def test_profiling_never_perturbs_simulated_time(setup):
 @given(peel_setups())
 @settings(max_examples=10, deadline=None)
 def test_profile_invariants_hold_for_any_run(setup):
-    graph, options = setup
-    result = gpu_peel(graph, options=options, profile=True)
+    graph, variant, options = setup
+    result = gpu_peel(graph, variant, options=options, profile=True)
     report = result.profile
     assert validate_profile(report.to_json()) == []
     assert len(report.launches) == 2 * result.rounds

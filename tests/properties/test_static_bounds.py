@@ -35,18 +35,17 @@ def peel_setups(draw):
     )
     variant = draw(st.sampled_from(ALL_VARIANTS))
     options = GpuPeelOptions(
-        variant=variant,
         preempt_prob=draw(st.sampled_from([0.0, 0.3])),
         seed=draw(st.integers(min_value=0, max_value=1000)),
     )
-    return graph, options
+    return graph, variant, options
 
 
 @given(peel_setups())
 @settings(max_examples=14, deadline=None)
 def test_static_bounds_dominate_dynamic_stats(setup):
-    graph, options = setup
-    result = gpu_peel(graph, options=options, staticheck=True)
+    graph, variant, options = setup
+    result = gpu_peel(graph, variant, options=options, staticheck=True)
     report = result.staticheck
     assert report is not None
     assert report.clean, report.summary(label="staticheck")
@@ -57,9 +56,9 @@ def test_static_bounds_dominate_dynamic_stats(setup):
 @given(peel_setups())
 @settings(max_examples=10, deadline=None)
 def test_staticheck_never_perturbs_simulated_time(setup):
-    graph, options = setup
-    checked = gpu_peel(graph, options=options, staticheck=True)
-    plain = gpu_peel(graph, options=options)
+    graph, variant, options = setup
+    checked = gpu_peel(graph, variant, options=options, staticheck=True)
+    plain = gpu_peel(graph, variant, options=options)
     assert plain.staticheck is None
     assert checked.simulated_ms == plain.simulated_ms
     assert checked.counters == plain.counters

@@ -1,0 +1,46 @@
+"""The documentation gate's phantom-module-name check.
+
+Loads ``scripts/check_docs.py`` the way CI runs it and feeds it a
+temporary page, so a doc naming code that does not exist is caught by a
+test and not only by the CI step.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.fixture(scope="module")
+def check_docs():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(SCRIPTS))
+        spec = importlib.util.spec_from_file_location(
+            "check_docs", SCRIPTS / "check_docs.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+def test_phantom_name_is_flagged_and_schema_id_is_not(check_docs, tmp_path):
+    page = tmp_path / "PAGE.md"
+    text = (
+        "Real: `repro.api.supported_keywords` and `repro.systems.*`.\n"
+        "A schema id: `repro.runreport/v1`.\n"
+        "Phantoms: `repro.core.peeling`, `repro.api.no_such_name`.\n"
+    )
+    problems = []
+    assert check_docs.check_module_names(page, text, problems) == 4
+    assert problems == [
+        f"{page}:3: unknown module name repro.core.peeling",
+        f"{page}:3: unknown module name repro.api.no_such_name",
+    ]
+
+
+def test_names_resolve_as_modules_or_attributes(check_docs):
+    assert check_docs.resolves("repro.gpusim.memory")
+    assert check_docs.resolves("repro.gpusim.device.Device.charge")
+    assert not check_docs.resolves("repro.gpusim.metrics")

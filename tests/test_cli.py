@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from tests.conftest import OBSERVER_PROGRAMS
 
 
 def test_decompose_file_summary(tmp_path, capsys):
@@ -96,22 +97,20 @@ def test_sanitize_unsupported_algorithm(tmp_path, capsys):
     assert "--sanitize" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("flags, supported", [
-    (["--sanitize"], "SANITIZABLE"),
-    (["--staticheck"], "STATICHECKABLE"),
-    (["--dataflow"], "DATAFLOWABLE"),
-    (["--ncu"], "PROFILABLE"),
-    (["--engine", "reference"], "ENGINEABLE"),
-    (["--memtrace"], "MEMTRACEABLE"),
-    (["--critpath"], "CRITPATHABLE"),
+@pytest.mark.parametrize("flags, keyword", [
+    (["--sanitize"], "sanitize"),
+    (["--staticheck"], "staticheck"),
+    (["--dataflow"], "dataflow"),
+    (["--ncu"], "profile"),
+    (["--engine", "reference"], "engine"),
+    (["--memtrace"], "memtrace"),
+    (["--critpath"], "critpath"),
 ])
-def test_every_unsupported_flag_exits_2(tmp_path, capsys, flags, supported):
-    import repro.api
-
+def test_every_unsupported_flag_exits_2(tmp_path, capsys, flags, keyword):
     path = tmp_path / "g.txt"
     path.write_text("0 1\n1 2\n0 2\n")
     assert main(["--input", str(path), "--algorithm", "bz", *flags]) == 2
-    names = ", ".join(sorted(getattr(repro.api, supported)))
+    names = ", ".join(sorted(OBSERVER_PROGRAMS[keyword]))
     assert capsys.readouterr().err == (
         f"error: algorithm 'bz' does not support {flags[0]} "
         f"(supported: {names})\n"
@@ -333,6 +332,35 @@ def test_report_rejects_other_telemetry_flags(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "--report" in err and "--sanitize" in err
     assert "--memtrace" in err
+
+
+_REPORT_CLASH = ("error: --report already merges every telemetry vertical "
+                 "and cannot be combined with ")
+
+
+@pytest.mark.parametrize("flags", [
+    ["--profile"], ["--sanitize"], ["--staticheck"], ["--dataflow"],
+    ["--ncu"], ["--memtrace"], ["--critpath"], ["--engine", "reference"],
+])
+def test_report_rejects_each_telemetry_flag(tmp_path, capsys, flags):
+    src = tmp_path / "g.txt"
+    src.write_text("0 1\n1 2\n0 2\n")
+    assert main(["--input", str(src), "--algorithm", "gpu-ours",
+                 "--report", *flags]) == 2
+    assert capsys.readouterr().err == f"{_REPORT_CLASH}{flags[0]}\n"
+
+
+def test_report_lists_clashing_flags_in_table_order(tmp_path, capsys):
+    src = tmp_path / "g.txt"
+    src.write_text("0 1\n1 2\n0 2\n")
+    assert main(["--input", str(src), "--algorithm", "gpu-ours",
+                 "--report", "--engine", "reference", "--critpath",
+                 "--memtrace", "--ncu", "--dataflow", "--staticheck",
+                 "--sanitize", "--profile"]) == 2
+    assert capsys.readouterr().err == (
+        f"{_REPORT_CLASH}--profile, --sanitize, --staticheck, --dataflow, "
+        "--ncu, --memtrace, --critpath, --engine\n"
+    )
 
 
 def test_report_rejects_unknown_algorithm(tmp_path, capsys):
