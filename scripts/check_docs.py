@@ -3,7 +3,7 @@
 
     python scripts/check_docs.py [--verbose]
 
-Three classes of doc rot this catches:
+Four classes of doc rot this catches:
 
 1. **Broken links** — every relative markdown link (``[x](docs/FOO.md)``,
    ``[y](SIMULATOR.md)``, anchors and ``examples/`` directories
@@ -22,6 +22,12 @@ Three classes of doc rot this catches:
    (a name followed by ``/``, e.g. ``repro.runreport/v1``) are not
    code.  The other top-level pages (CHANGES.md, ROADMAP.md, ...) are
    history and name deleted code on purpose, so they are not walked.
+4. **Phantom keywords** — on the same pages, every call snippet of a
+   name exported by a ``repro`` package's ``__all__`` (``Device(...)``,
+   ``gpu_peel(..., memtrace=True)``), in an inline-code span or a
+   fenced block, must pass only keywords the callable really takes.
+   Snippets that do not parse as a Python call, and callables that
+   take ``**kwargs``, are skipped.
 
 Exit status: 0 OK, 1 findings, 2 configuration error (missing file).
 """
@@ -29,11 +35,14 @@ Exit status: 0 OK, 1 findings, 2 configuration error (missing file).
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib
+import inspect
+import pkgutil
 import re
 import sys
 from pathlib import Path
-from typing import List, Set
+from typing import Dict, FrozenSet, Iterator, List, Set, Tuple
 
 from _bench_common import REPO_ROOT, bootstrap
 
@@ -53,6 +62,10 @@ NAME_GLOBS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md")
 #: an inline-code span, and a dotted ``repro`` name inside one
 _SPAN = re.compile(r"`([^`\n]+)`")
 _NAME = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+
+#: a fenced-block delimiter line, and a call of a bare name
+_FENCE = re.compile(r"^\s*(```|~~~)")
+_CALL = re.compile(r"(?<![\w.])([A-Za-z_]\w*)\(")
 
 
 def _doc_files(globs: "tuple[str, ...]" = DOC_GLOBS) -> List[Path]:
@@ -150,6 +163,92 @@ def check_module_names(
     return checked
 
 
+def exported_keywords() -> Dict[str, FrozenSet[str]]:
+    """``name -> keyword parameters`` for every callable exported by
+    the ``__all__`` of ``repro`` and its subpackages, except callables
+    that take ``**kwargs``."""
+    import repro
+
+    packages = [repro] + [
+        importlib.import_module(f"repro.{info.name}")
+        for info in pkgutil.iter_modules(repro.__path__) if info.ispkg
+    ]
+    keywords: Dict[str, FrozenSet[str]] = {}
+    for package in packages:
+        for name in getattr(package, "__all__", ()):
+            try:
+                params = inspect.signature(getattr(package, name)).parameters
+            except (TypeError, ValueError):
+                continue  # not callable, or no introspectable signature
+            if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+                continue
+            keywords[name] = frozenset(
+                n for n, p in params.items()
+                if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+            )
+    return keywords
+
+
+def _code_snippets(text: str) -> Iterator[Tuple[int, str]]:
+    """``(first line, code)`` for every fenced block and every inline
+    code span outside one."""
+    block: List[str] | None = None
+    start = 0
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if _FENCE.match(line):
+            if block is None:
+                block, start = [], lineno + 1
+            else:
+                yield start, "\n".join(block)
+                block = None
+        elif block is not None:
+            block.append(line)
+        else:
+            for span in _SPAN.finditer(line):
+                yield lineno, span.group(1)
+
+
+def _parse_call(code: str) -> "ast.Call | None":
+    """The call expression ``code`` opens with, up to its closing
+    parenthesis, or ``None`` if no prefix of it parses as a call."""
+    end = code.find(")")
+    while end != -1:
+        try:
+            node = ast.parse(code[: end + 1], mode="eval").body
+        except SyntaxError:
+            end = code.find(")", end + 1)
+            continue
+        return node if isinstance(node, ast.Call) else None
+    return None
+
+
+def check_keywords(
+    path: Path, text: str, known: Dict[str, FrozenSet[str]],
+    problems: List[str],
+) -> int:
+    checked = 0
+    for first_line, code in _code_snippets(text):
+        for match in _CALL.finditer(code):
+            name = match.group(1)
+            if name not in known:
+                continue
+            call = _parse_call(code[match.start():])
+            if call is None:
+                continue
+            for keyword in call.keywords:
+                if keyword.arg is None:
+                    continue  # a ``**mapping`` argument
+                checked += 1
+                if keyword.arg not in known[name]:
+                    line = (first_line + code[: match.start()].count("\n")
+                            + keyword.lineno - 1)
+                    problems.append(
+                        f"{_rel(path)}:{line}: {name}() has no keyword "
+                        f"{keyword.arg!r}"
+                    )
+    return checked
+
+
 def main(argv: "List[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--verbose", action="store_true",
@@ -157,28 +256,33 @@ def main(argv: "List[str] | None" = None) -> int:
     args = parser.parse_args(argv)
     bootstrap()
     known_flags = _cli_flags()
+    known_keywords = exported_keywords()
     name_pages = set(_doc_files(NAME_GLOBS))
     problems: List[str] = []
-    n_links = n_flags = n_names = 0
+    n_links = n_flags = n_names = n_keywords = 0
     for path in _doc_files():
         text = path.read_text(encoding="utf-8")
         links = check_links(path, text, problems)
         flags = check_cli_flags(path, text, known_flags, problems)
-        names = (check_module_names(path, text, problems)
-                 if path in name_pages else 0)
+        names = keywords = 0
+        if path in name_pages:
+            names = check_module_names(path, text, problems)
+            keywords = check_keywords(path, text, known_keywords, problems)
         n_links += links
         n_flags += flags
         n_names += names
+        n_keywords += keywords
         if args.verbose:
             print(f"  {_rel(path)}: {links} links, {flags} CLI flags, "
-                  f"{names} module names")
+                  f"{names} module names, {keywords} keywords")
     if problems:
         print(f"check_docs: {len(problems)} problem(s)", file=sys.stderr)
         for problem in problems:
             print(f"  {problem}", file=sys.stderr)
         return 1
     print(f"check_docs: OK ({n_links} links, {n_flags} CLI flag "
-          f"mentions, {n_names} module names across the markdown pages)")
+          f"mentions, {n_names} module names, {n_keywords} call keywords "
+          f"across the markdown pages)")
     return 0
 
 

@@ -3,7 +3,9 @@
 The paper's host program (Algorithm 1) is one loop: launch, read back,
 test for convergence.  ``gpu_peel``, ``gpu_bfs`` and ``multi_gpu_peel``
 supply only their program — allocations, the launches of a round, the
-convergence test, counters and stats.  A :class:`HostRun`, built once
+convergence test, counters and stats — and so do the four GPU system
+emulations of :mod:`repro.systems`, which book logical-kernel charges
+instead of launching SIMT kernels.  A :class:`HostRun`, built once
 per run from the driver's observer switches, owns the rest: the
 switches' implications, attaching the sanitizer, profiler and memory
 tracker to the run's device(s), the launch checkers and critical-path
@@ -15,6 +17,7 @@ counters, peaks and core numbers are byte-identical with any mix on.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Mapping
 
@@ -38,19 +41,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 __all__ = ["HostRun"]
 
+#: ``Device`` keyword -> default, to spot keywords a pre-built device
+#: would ignore
+_DEFAULTS = {
+    k: p.default for k, p in inspect.signature(Device).parameters.items()
+}
+
 
 class HostRun:
     """Observer wiring and result assembly of one simulated run.
 
-    ``cfg`` is the launched variant, ``algorithm`` the result's name and
-    ``program`` the contract (``"kcore"`` / ``"bfs"``) the static
-    checkers certify against; ``tracer``, ``engine`` and the observer
-    switches mean what they mean for :func:`~repro.core.host.gpu_peel`.
+    ``cfg`` is the launched variant (``None`` for a system emulation,
+    which launches none: no ``variant`` label, no launch checkers),
+    ``algorithm`` the result's name and ``program`` the contract
+    (``"kcore"`` / ``"bfs"``) the static checkers certify against;
+    ``tracer``, ``engine`` and the observer switches mean what they
+    mean for :func:`~repro.core.host.gpu_peel`.
     """
 
     def __init__(
         self,
-        cfg: VariantConfig,
+        cfg: VariantConfig | None,
         algorithm: str,
         *,
         program: str = "kcore",
@@ -64,13 +75,14 @@ class HostRun:
         report: bool = False,
         critpath: bool = False,
     ) -> None:
-        if staticheck and cfg.ring_buffer:
+        if staticheck and cfg is not None and cfg.ring_buffer:
             raise ReproError(
                 "staticheck is not available for ring-buffer variants: a "
                 "wrapping buffer has no static slot bound (see "
                 "docs/STATIC_ANALYSIS.md)"
             )
         self.cfg = cfg
+        self.variant = cfg.name if cfg is not None else None
         self.algorithm = algorithm
         self.program = program
         self.tracer = tracer
@@ -101,11 +113,24 @@ class HostRun:
     def device(self, device: Device | None = None, **config: Any) -> Device:
         """The run's one device: a caller's ``device`` (which keeps its
         engine and any observers it carries) or a new one built from
-        the :class:`~repro.gpusim.device.Device` keywords ``config``."""
+        the :class:`~repro.gpusim.device.Device` keywords ``config``.
+
+        Raises:
+            ReproError: ``device`` is given with a ``config`` keyword
+                other than its default (a ``spec``, ``cost_model`` or
+                ``time_budget_ms``, ...), which the device would ignore.
+        """
         if device is None:
             device = Device(tracer=self.tracer, engine=self.engine, **config)
-        elif self.tracer is not None:
-            device.tracer = self.tracer
+        else:
+            ignored = [k for k, v in config.items() if v != _DEFAULTS[k]]
+            if ignored:
+                raise ReproError(
+                    f"{', '.join(ignored)} cannot apply to a pre-built "
+                    "device: configure the Device itself, or pass none"
+                )
+            if self.tracer is not None:
+                device.tracer = self.tracer
         self.lead = self._attach(device, "gpu0")
         return device
 
@@ -141,7 +166,9 @@ class HostRun:
             tracker = MemoryTracker(worker=worker)
             tracker.attach(device.memory.in_use, ts_ms=device.elapsed_ms)
             device.memtracer = tracker
-        labels = {"variant": self.cfg.name, "algorithm": self.algorithm}
+        labels = {"algorithm": self.algorithm}
+        if self.variant is not None:
+            labels["variant"] = self.variant
         if device.profiler is not None:
             device.profiler.annotate(**labels)
         if device.memtracer is not None:
@@ -157,6 +184,7 @@ class HostRun:
     ) -> None:
         """Build the launch checkers and critical-path collector for
         ``graph`` on the run's devices."""
+        assert self.cfg is not None, "only a launched variant is armed"
         first = self.devices[0]
         spec = first.spec
         shape = (graph.num_vertices, len(graph.neighbors), graph.max_degree)
@@ -245,16 +273,20 @@ class HostRun:
         counters: Mapping[str, float] | None = None,
         simulated_ms: float | None = None,
         exchange: "MultiGpuOptions | None" = None,
+        sanitizer: "SanitizerReport | None" = None,
     ) -> DecompositionResult:
         """Close every observer and assemble the run's result.
 
         Read ``core`` back first: with a memory tracker attached, every
         device array is freed here so each lifetime closes.  A
-        single-device run's ``counters`` gain the ``engine.<name>`` tag
-        and the device's own ``device.*`` / ``engine.served.*``.  Multi-GPU
-        passes its coordinator ``simulated_ms`` (the default is the one
-        device's clock) and its ``exchange`` costs; the trace and the
-        kernel profile are per device, so its result carries neither.
+        single-device run's ``counters`` gain the device's own
+        ``device.*`` / ``engine.served.*``, led by the ``engine.<name>``
+        tag when the device ran a SIMT launch.  Multi-GPU passes its
+        coordinator ``simulated_ms`` (the default is the one device's
+        clock) and its ``exchange`` costs; the trace and the kernel
+        profile are per device, so its result carries neither.  A
+        system emulation passes its static lint report as
+        ``sanitizer``, in place of a device sanitizer's.
         """
         devices = self.devices
         lead = self.lead
@@ -270,10 +302,11 @@ class HostRun:
         if simulated_ms is None:
             simulated_ms = devices[0].elapsed_ms
         if lead is not None and counters is not None:
-            # the engine that produced the run (a tag, not a measurement:
+            # the engine that ran the launches (a tag, not a measurement:
             # values are engine-invariant), then the device's metrics
-            counters = {**counters, f"engine.{lead.engine.name}": 1.0,
-                        **lead.counters()}
+            if lead.launch_log:
+                counters = {**counters, f"engine.{lead.engine.name}": 1.0}
+            counters = {**counters, **lead.counters()}
         trace = lead.tracer if lead is not None else None
         if trace is not None and counters:
             for name, value in counters.items():
@@ -295,7 +328,7 @@ class HostRun:
             from repro.memtrace.report import MemtraceReport
 
             memtrace = MemtraceReport.from_trackers(
-                trackers, algorithm=self.algorithm, variant=self.cfg.name
+                trackers, algorithm=self.algorithm, variant=self.variant
             )
 
         critpath: "CritPathReport | None" = None
@@ -304,7 +337,8 @@ class HostRun:
                 elapsed_ms=simulated_ms,
                 kernel_launches=devices[0].kernel_launches,
             )
-        elif self.env is not None and exchange is not None:
+        elif (self.env is not None and exchange is not None
+              and self.cfg is not None):
             from repro.obs.critpath import build_multi_critpath
 
             critpath = build_multi_critpath(
@@ -322,7 +356,8 @@ class HostRun:
                 env=self.env,
             )
 
-        sanitizer = devices[0].sanitizer
+        if sanitizer is None and devices[0].sanitizer is not None:
+            sanitizer = devices[0].sanitizer.report
         profiler = lead.profiler if lead is not None else None
         result = DecompositionResult(
             core=core,
@@ -333,7 +368,7 @@ class HostRun:
             stats=stats or {},
             counters=counters or {},
             trace=trace,
-            sanitizer=sanitizer.report if sanitizer is not None else None,
+            sanitizer=sanitizer,
             staticheck=static,
             profile=profiler.report() if profiler is not None else None,
             memtrace=memtrace,

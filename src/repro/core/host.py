@@ -84,7 +84,10 @@ def gpu_peel(
         device: a pre-built device (so callers can share a memory pool
             or inspect metrics); otherwise one is created from ``spec``
             and ``cost_model``.  The requested observers are attached
-            to it unless it already carries its own.
+            to it unless it already carries its own.  A ``spec``,
+            ``cost_model`` or device-level option (time budget, fuzzing)
+            passed with it would be ignored, so that raises
+            :class:`~repro.errors.ReproError`.
         options: further tunables: buffer capacity, time budget and
             the schedule-fuzzing knobs (:class:`GpuPeelOptions`).
         tracer: an explicit :class:`~repro.obs.tracer.Tracer` for this

@@ -52,7 +52,7 @@ Sanitizing
 
 Every access method additionally carries a racecheck hook: when the
 launch runs under a :class:`~repro.sanitize.racecheck.LaunchMonitor`
-(``Device(sanitize=True)``), the access is mirrored into shadow logs
+(``gpu_peel(..., sanitize=True)``), the access is mirrored into shadow logs
 keyed by exact location and barrier epoch, from which the sanitizer
 derives cross-warp race, barrier-divergence and ballot-hazard findings
 (``docs/SANITIZER.md``).  Recording never charges cycles, and with the

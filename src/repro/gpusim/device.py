@@ -39,60 +39,37 @@ and accumulates the flat device counters ``device.kernel_launches``,
 ``device.cycles``, ``device.mem_transactions``, ``device.barriers``
 and ``device.atomic_conflicts``.
 
-Sanitizing
-----------
-
-``Device(sanitize=True)`` attaches a
-:class:`~repro.sanitize.racecheck.KernelSanitizer`; every
-:meth:`launch` then runs under a fresh
-:class:`~repro.sanitize.racecheck.LaunchMonitor` whose shadow access
-logs feed the race/barrier/ballot detectors (see
-``docs/SANITIZER.md``).  Recording charges no cycles, so a sanitized
-run's simulated time is identical to an unsanitized one.  A shared
-:class:`KernelSanitizer` instance may instead be passed via
-``sanitizer=`` so several devices (multi-GPU peeling) fold their
-findings into one report, available as ``device.sanitizer.report``.
-
-Profiling
+Observers
 ---------
 
-``Device(profile=True)`` attaches a
-:class:`~repro.profile.profiler.KernelProfiler`; every :meth:`launch`
-then runs with ``collect_timings=True`` (the per-block
-:class:`~repro.gpusim.costmodel.BlockTiming` records ride along on the
-returned stats) and is folded into a speed-of-light
-:class:`~repro.profile.profiler.LaunchProfile` — see
-:mod:`repro.profile` and the "Profiling" section of
-``docs/OBSERVABILITY.md``.  Like the tracer and sanitizer, the
-profiler is observability-only: simulated time is byte-identical with
-it on or off.  A shared :class:`KernelProfiler` may instead be passed
-via ``profiler=`` (the explicit instance wins over the bool) so a host
-program can annotate rounds and pull the final report.
+Three more observers hang off the attributes ``sanitizer``,
+``profiler`` and ``memtracer`` (``None`` = off).  The drivers'
+``sanitize`` / ``profile`` / ``memtrace`` switches attach them through
+:class:`~repro.core.driver.HostRun`, which also shares one sanitizer
+across multi-GPU workers and names one memory tracker per worker.
 
-With a profiler attached, labelled :meth:`charge` calls are also
-recorded — as coarse ``source="charge"`` records with no per-block
-attribution (the system emulations book logical-kernel time without
-SIMT launches), so a profiled Gunrock/GSwitch/Medusa/VETGA run is no
-longer invisible to ``--ncu``.
+* A :class:`~repro.sanitize.racecheck.KernelSanitizer` runs every
+  :meth:`launch` under a fresh
+  :class:`~repro.sanitize.racecheck.LaunchMonitor` whose shadow access
+  logs feed the race/barrier/ballot detectors (``docs/SANITIZER.md``).
+* A :class:`~repro.profile.profiler.KernelProfiler` runs every
+  :meth:`launch` with ``collect_timings=True`` (the per-block
+  :class:`~repro.gpusim.costmodel.BlockTiming` records ride along on
+  the returned stats) and folds it into a speed-of-light
+  :class:`~repro.profile.profiler.LaunchProfile`; labelled
+  :meth:`charge` calls become coarse ``source="charge"`` records, so
+  the system emulations are visible to ``--ncu`` too.
+* A :class:`~repro.memtrace.tracker.MemoryTracker` records every
+  :meth:`malloc` / :meth:`free` lifetime on the simulated timeline,
+  turns invalid frees and read-backs of freed arrays into
+  ``double-free`` / ``use-after-free`` findings, scopes in-flight
+  shared-memory allocations to their launch, and snapshots the exact
+  attribution breakdown at every new ``GlobalMemory`` peak; with a
+  tracer as well, each transition emits a ``memory.in_use`` sample.
 
-Memory tracing
---------------
-
-``Device(memtrace=True)`` attaches a
-:class:`~repro.memtrace.tracker.MemoryTracker`; every
-:meth:`malloc` / :meth:`free` then records the allocation's lifetime
-on the simulated timeline, invalid frees and read-backs of freed
-arrays become ``double-free`` / ``use-after-free`` findings, kernel
-launches scope in-flight shared-memory allocations, and the tracker
-snapshots the exact attribution breakdown whenever ``GlobalMemory``
-sets a new peak — see :mod:`repro.memtrace` and the "Memory telemetry"
-section of ``docs/OBSERVABILITY.md``.  When both a tracer and a memory
-tracker are attached, each transition additionally emits a
-``memory.in_use`` counter-track sample, so the Chrome-trace export
-gains a memory timeline.  A pre-built tracker may instead be passed
-via ``memtracer=`` (multi-GPU peeling names one per worker).  Like
-every other hook, tracking is observability-only: simulated time,
-counters, and the peak itself are byte-identical with it on or off.
+Every observer is observability-only: simulated time, counters and the
+memory peak are byte-identical with any of them on or off (see
+``docs/OBSERVABILITY.md``).
 """
 
 from __future__ import annotations
@@ -129,12 +106,6 @@ class Device:
         preempt_prob: float = 0.0,
         seed: int = 0,
         tracer: "Tracer | None" = None,
-        sanitize: bool = False,
-        sanitizer: "KernelSanitizer | None" = None,
-        profile: bool = False,
-        profiler: "KernelProfiler | None" = None,
-        memtrace: bool = False,
-        memtracer: "MemoryTracker | None" = None,
         engine: "str | ExecutionEngine | None" = None,
         name: str = "device",
     ) -> None:
@@ -168,32 +139,10 @@ class Device:
         #: the attached tracer, or ``None`` (tracing off); an explicit
         #: argument wins over the process-wide active tracer
         self.tracer = tracer if tracer is not None else active_tracer()
-        #: the attached kernel sanitizer, or ``None`` (sanitizing off);
-        #: an explicit instance wins over the ``sanitize`` switch so
-        #: multiple devices can share one report
-        if sanitizer is None and sanitize:
-            from repro.sanitize.racecheck import KernelSanitizer
-
-            sanitizer = KernelSanitizer()
-        self.sanitizer = sanitizer
-        #: the attached kernel profiler, or ``None`` (profiling off);
-        #: an explicit instance wins over the ``profile`` switch so the
-        #: host can annotate rounds and collect the report
-        if profiler is None and profile:
-            from repro.profile.profiler import KernelProfiler
-
-            profiler = KernelProfiler()
-        self.profiler = profiler
-        #: the attached memory tracker, or ``None`` (memtrace off); an
-        #: explicit instance wins over the ``memtrace`` switch so
-        #: multi-GPU peeling can name one tracker per worker
-        if memtracer is None and memtrace:
-            from repro.memtrace.tracker import MemoryTracker
-
-            memtracer = MemoryTracker()
-        if memtracer is not None:
-            memtracer.attach(self.spec.context_overhead_bytes)
-        self.memtracer = memtracer
+        #: the attached observers, or ``None`` (off); see "Observers"
+        self.sanitizer: "KernelSanitizer | None" = None
+        self.profiler: "KernelProfiler | None" = None
+        self.memtracer: "MemoryTracker | None" = None
 
     # -- memory -------------------------------------------------------------
 

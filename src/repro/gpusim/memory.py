@@ -27,7 +27,7 @@ watermark) on the ``device`` track when tracing is enabled — see
 ``device.peak_memory_bytes`` figure reported by every result.  The
 device likewise forwards each transition to an attached
 :class:`~repro.memtrace.tracker.MemoryTracker`
-(``Device(memtrace=True)``), which records allocation lifetimes and
+(``gpu_peel(..., memtrace=True)``), which records allocation lifetimes and
 snapshots the attribution breakdown whenever ``peak`` moves.
 """
 

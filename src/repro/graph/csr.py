@@ -70,12 +70,24 @@ class CSRGraph:
         Self-loops are dropped, parallel/duplicate edges are merged, and
         each edge is stored in both directions.  ``num_vertices`` may be
         given to include trailing isolated vertices; otherwise it is
-        ``max endpoint + 1``.
+        ``max endpoint + 1``.  Float IDs must be integral and within
+        the int64 range.
         """
         edge_array = np.asarray(
-            edges if isinstance(edges, np.ndarray) else list(edges),
-            dtype=np.int64,
+            edges if isinstance(edges, np.ndarray) else list(edges)
         )
+        if edge_array.dtype.kind == "f":
+            # NaN fails every comparison, so no test below warns
+            integral = (np.floor(edge_array) == edge_array) & (
+                np.abs(edge_array) < 2.0**63
+            )
+            if not integral.all():
+                bad = float(edge_array[~integral][0])
+                raise GraphValidationError(
+                    f"vertex IDs must be finite integers within int64, "
+                    f"got {bad}"
+                )
+        edge_array = edge_array.astype(np.int64, copy=False)
         if edge_array.size == 0:
             n = int(num_vertices or 0)
             return cls(np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64))

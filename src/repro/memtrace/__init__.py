@@ -9,8 +9,6 @@ instead of being one opaque scalar.
 
 Enable it anywhere in the stack:
 
-* ``Device(memtrace=True)`` — attach a
-  :class:`~repro.memtrace.tracker.MemoryTracker` to one device;
 * ``gpu_peel(graph, memtrace=True)`` /
   ``KCoreDecomposer(mode="simulate", memtrace=True)`` — the report
   lands on ``result.memtrace``;

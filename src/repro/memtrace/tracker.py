@@ -1,7 +1,7 @@
 """The memory tracker: allocation lifetimes and peak attribution.
 
 A :class:`MemoryTracker` is attached to a
-:class:`~repro.gpusim.device.Device` (``Device(memtrace=True)``) and
+:class:`~repro.gpusim.device.Device` (a driver's ``memtrace=True``) and
 receives a hook call for every global-memory transition the device
 performs: ``malloc``, ``free``, invalid frees, read-backs of freed
 arrays, and per-block shared-memory allocations inside kernels.  From

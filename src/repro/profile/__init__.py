@@ -1,7 +1,7 @@
 """Nsight-Compute-style profiler for the simulated GPU.
 
-``Device(profile=True)`` attaches a :class:`KernelProfiler`; every
-launch then yields a speed-of-light :class:`LaunchProfile` (bound
+A driver's ``profile=True`` attaches a :class:`KernelProfiler` to its
+device; every launch then yields a speed-of-light :class:`LaunchProfile` (bound
 classification, pipeline utilisation, achieved occupancy, divergence /
 coalescing efficiency, atomic-serialisation share), and
 :meth:`KernelProfiler.report` folds them into a :class:`ProfileReport`

@@ -1,7 +1,7 @@
 """The kernel profiler: per-launch speed-of-light attribution.
 
 An Nsight-Compute-style profiler over the simulated GPU.  Attached to a
-:class:`~repro.gpusim.device.Device` (``Device(profile=True)``), it
+:class:`~repro.gpusim.device.Device` (a driver's ``profile=True``), it
 receives every launch's :class:`~repro.gpusim.scheduler.KernelStats`
 *with* the raw per-block :class:`~repro.gpusim.costmodel.BlockTiming`
 records and turns them into a :class:`LaunchProfile` — the simulated
@@ -174,7 +174,8 @@ class KernelProfiler:
         if timings is None:
             raise ValueError(
                 "profiling needs per-block timings: run the launch with "
-                "collect_timings=True (Device(profile=True) does)"
+                "collect_timings=True (a Device with a profiler "
+                "attached does)"
             )
         self._spec, self._cost = spec, cost
         profile = self._profile_launch(

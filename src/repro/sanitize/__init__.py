@@ -7,8 +7,8 @@ silent: they produce wrong core numbers, not crashes.  This package
 *checks* the discipline, two ways:
 
 * **dynamic racecheck** (:mod:`repro.sanitize.racecheck`) — attach a
-  :class:`KernelSanitizer` to a device (``Device(sanitize=True)``,
-  ``gpu_peel(..., sanitize=True)``, ``KCoreDecomposer(sanitize=True)``
+  :class:`KernelSanitizer` to a run's devices
+  (``gpu_peel(..., sanitize=True)``, ``KCoreDecomposer(sanitize=True)``
   or CLI ``--sanitize``) and every kernel launch keeps shadow access
   logs per barrier epoch, reporting shared- and global-memory races,
   barrier divergence and ballot hazards with ``file:line`` provenance;

@@ -24,19 +24,9 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.gpusim.device import Device
-    from repro.memtrace.report import MemtraceReport
-    from repro.memtrace.tracker import MemoryTracker
-    from repro.profile.report import ProfileReport
     from repro.sanitize.report import SanitizerReport
 
-__all__ = [
-    "SystemTuning",
-    "DEFAULT_TUNING",
-    "finish_emulation",
-    "instrument_emulation",
-    "lint_emulation",
-]
+__all__ = ["SystemTuning", "DEFAULT_TUNING", "lint_emulation"]
 
 
 @dataclass(frozen=True)
@@ -73,65 +63,6 @@ class SystemTuning:
 
 
 DEFAULT_TUNING = SystemTuning()
-
-
-def instrument_emulation(
-    device: "Device",
-    algorithm: str,
-    memtrace: bool = False,
-    profile: bool = False,
-) -> "MemoryTracker | None":
-    """Attach the requested observability layers to an emulation device.
-
-    ``profile=True`` gives the device a
-    :class:`~repro.profile.profiler.KernelProfiler`: the emulations
-    launch no SIMT kernels, so every labelled
-    :meth:`~repro.gpusim.device.Device.charge` becomes a coarse
-    ``source="charge"`` record — enough for ``--ncu`` to attribute
-    where a Gunrock or Medusa run spends its cycles.
-
-    ``memtrace=True`` gives it a
-    :class:`~repro.memtrace.tracker.MemoryTracker`; anything already
-    resident on a caller-supplied device is folded into the opaque base.
-    Returns the device's tracker (possibly pre-existing), or ``None``.
-    """
-    if profile and device.profiler is None:
-        from repro.profile.profiler import KernelProfiler
-
-        device.profiler = KernelProfiler()
-    if device.profiler is not None:
-        device.profiler.annotate(algorithm=algorithm)
-    if memtrace and device.memtracer is None:
-        from repro.memtrace.tracker import MemoryTracker
-
-        tracker = MemoryTracker()
-        tracker.attach(device.memory.in_use, ts_ms=device.elapsed_ms)
-        device.memtracer = tracker
-    if device.memtracer is not None:
-        device.memtracer.annotate(algorithm=algorithm)
-    return device.memtracer
-
-
-def finish_emulation(
-    device: "Device",
-) -> "tuple[MemtraceReport | None, ProfileReport | None]":
-    """Close the observability layers of one emulation run.
-
-    With a memory tracker attached, frees every live device array (so
-    all lifetimes close and genuine leaks stay detectable) and
-    finalises the tracker; untraced devices keep their contents for
-    post-run inspection, as before.  Returns the
-    ``(memtrace, profile)`` report pair for the result.
-    """
-    memtrace = None
-    if device.memtracer is not None:
-        device.free_all()
-        device.memtracer.finish(device.elapsed_ms)
-        memtrace = device.memtracer.report()
-    profile = (
-        device.profiler.report() if device.profiler is not None else None
-    )
-    return memtrace, profile
 
 
 def lint_emulation(module_name: str) -> "SanitizerReport":

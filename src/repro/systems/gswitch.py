@@ -22,16 +22,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.fastpath import peel_fast
+from repro.core.driver import HostRun
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import Device
 from repro.result import DecompositionResult
-from repro.systems.base import (
-    DEFAULT_TUNING,
-    SystemTuning,
-    finish_emulation,
-    instrument_emulation,
-    lint_emulation,
-)
+from repro.systems.base import DEFAULT_TUNING, SystemTuning, lint_emulation
 
 __all__ = ["gswitch_decompose"]
 
@@ -47,16 +42,12 @@ def gswitch_decompose(
 ) -> DecompositionResult:
     """Run the GSWITCH k-core program on the simulated device.
 
-    ``sanitize=True`` attaches the static lint report over this
-    emulation's source (see :func:`~repro.systems.base.lint_emulation`).
-    ``memtrace=True`` / ``profile=True`` attach the memory-telemetry
-    and charge-profile reports (see
-    :func:`~repro.systems.base.instrument_emulation`).
+    ``sanitize``, ``memtrace`` and ``profile`` are described in
+    :mod:`repro.systems`.
     """
-    device = device or Device(time_budget_ms=time_budget_ms)
-    tracker = instrument_emulation(
-        device, "gswitch", memtrace=memtrace, profile=profile
-    )
+    run = HostRun(None, "gswitch", memtrace=memtrace, profile=profile)
+    device = run.device(device, time_budget_ms=time_budget_ms)
+    tracker = device.memtracer
     n, m2 = graph.num_vertices, graph.neighbors.size
     if tracker is not None:
         tracker.set_scope("gswitch.init")
@@ -135,18 +126,10 @@ def gswitch_decompose(
         "system.push_iterations": float(pushes),
         "frontier.peak": float(frontier_peak),
     }
-    counters.update(device.counters())
-    memtrace_report, profile_report = finish_emulation(device)
-    return DecompositionResult(
-        core=core,
-        algorithm="gswitch",
-        simulated_ms=device.elapsed_ms,
-        peak_memory_bytes=device.peak_memory_bytes,
+    return run.result(
+        core,
         rounds=kmax + 1,
         stats={"iterations": iterations, "push_iterations": pushes},
         counters=counters,
-        trace=tr,
         sanitizer=lint_emulation(__name__) if sanitize else None,
-        profile=profile_report,
-        memtrace=memtrace_report,
     )

@@ -21,16 +21,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.driver import HostRun
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import Device
 from repro.result import DecompositionResult
-from repro.systems.base import (
-    DEFAULT_TUNING,
-    SystemTuning,
-    finish_emulation,
-    instrument_emulation,
-    lint_emulation,
-)
+from repro.systems.base import DEFAULT_TUNING, SystemTuning, lint_emulation
 
 __all__ = ["gunrock_decompose"]
 
@@ -46,16 +41,12 @@ def gunrock_decompose(
 ) -> DecompositionResult:
     """Run Gunrock's k-core app on the simulated device.
 
-    ``sanitize=True`` attaches the static lint report over this
-    emulation's source (see :func:`~repro.systems.base.lint_emulation`).
-    ``memtrace=True`` / ``profile=True`` attach the memory-telemetry
-    and charge-profile reports (see
-    :func:`~repro.systems.base.instrument_emulation`).
+    ``sanitize``, ``memtrace`` and ``profile`` are described in
+    :mod:`repro.systems`.
     """
-    device = device or Device(time_budget_ms=time_budget_ms)
-    tracker = instrument_emulation(
-        device, "gunrock", memtrace=memtrace, profile=profile
-    )
+    run = HostRun(None, "gunrock", memtrace=memtrace, profile=profile)
+    device = run.device(device, time_budget_ms=time_budget_ms)
+    tracker = device.memtracer
     n, m2 = graph.num_vertices, graph.neighbors.size
     if tracker is not None:
         tracker.set_scope("gunrock.init")
@@ -127,18 +118,7 @@ def gunrock_decompose(
         "frontier.peak": float(frontier_peak),
         "frontier.total": float(n),
     }
-    counters.update(device.counters())
-    memtrace_report, profile_report = finish_emulation(device)
-    return DecompositionResult(
-        core=core,
-        algorithm="gunrock",
-        simulated_ms=device.elapsed_ms,
-        peak_memory_bytes=device.peak_memory_bytes,
-        rounds=k,
-        stats={"iterations": iterations},
-        counters=counters,
-        trace=tr,
+    return run.result(
+        core, rounds=k, stats={"iterations": iterations}, counters=counters,
         sanitizer=lint_emulation(__name__) if sanitize else None,
-        profile=profile_report,
-        memtrace=memtrace_report,
     )

@@ -24,17 +24,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.driver import HostRun
 from repro.cpu.mpm import mpm_sweep
+from repro.errors import ReproError
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import Device
 from repro.result import DecompositionResult
-from repro.systems.base import (
-    DEFAULT_TUNING,
-    SystemTuning,
-    finish_emulation,
-    instrument_emulation,
-    lint_emulation,
-)
+from repro.systems.base import DEFAULT_TUNING, SystemTuning, lint_emulation
 
 __all__ = ["medusa_decompose", "MedusaEngine", "MedusaMPM", "MedusaPeel"]
 
@@ -145,19 +141,19 @@ def medusa_decompose(
 
     Raises :class:`~repro.errors.DeviceOutOfMemoryError` /
     :class:`~repro.errors.SimulatedTimeLimitExceeded` the way the real
-    runs OOM or exceed one hour in Tables III and V.
-    ``sanitize=True`` attaches the static lint report over this
-    emulation's source (see :func:`~repro.systems.base.lint_emulation`).
-    ``memtrace=True`` / ``profile=True`` attach the memory-telemetry
-    and charge-profile reports (see
-    :func:`~repro.systems.base.instrument_emulation`).
+    runs OOM or exceed one hour in Tables III and V, and
+    :class:`~repro.errors.ReproError` for any other ``program``.
+    ``sanitize``, ``memtrace`` and ``profile`` are described in
+    :mod:`repro.systems`.
     """
-    device = device or Device(time_budget_ms=time_budget_ms)
-    instrument_emulation(
-        device, f"medusa-{program}", memtrace=memtrace, profile=profile
-    )
-    engine = MedusaEngine(graph, device, tuning)
+    if program not in ("peel", "mpm"):
+        raise ReproError(
+            f"unknown Medusa program {program!r}; expected 'peel' or 'mpm'"
+        )
     prog = MedusaMPM() if program == "mpm" else MedusaPeel()
+    run = HostRun(None, prog.name, memtrace=memtrace, profile=profile)
+    device = run.device(device, time_budget_ms=time_budget_ms)
+    engine = MedusaEngine(graph, device, tuning)
     core = prog.run(engine)
     kmax = int(core.max()) if core.size else 0
     counters = {
@@ -165,18 +161,10 @@ def medusa_decompose(
         "system.supersteps": float(engine.supersteps),
         "system.edges_per_superstep": float(graph.neighbors.size),
     }
-    counters.update(device.counters())
-    memtrace_report, profile_report = finish_emulation(device)
-    return DecompositionResult(
-        core=core,
-        algorithm=prog.name,
-        simulated_ms=device.elapsed_ms,
-        peak_memory_bytes=device.peak_memory_bytes,
+    return run.result(
+        core,
         rounds=kmax + 1,
         stats={"supersteps": engine.supersteps},
         counters=counters,
-        trace=device.tracer,
         sanitizer=lint_emulation(__name__) if sanitize else None,
-        profile=profile_report,
-        memtrace=memtrace_report,
     )

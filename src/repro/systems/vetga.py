@@ -18,17 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.driver import HostRun
 from repro.errors import SimulatedTimeLimitExceeded
 from repro.graph.csr import CSRGraph
 from repro.gpusim.device import Device
 from repro.result import DecompositionResult
-from repro.systems.base import (
-    DEFAULT_TUNING,
-    SystemTuning,
-    finish_emulation,
-    instrument_emulation,
-    lint_emulation,
-)
+from repro.systems.base import DEFAULT_TUNING, SystemTuning, lint_emulation
 
 __all__ = ["vetga_decompose", "vetga_load_ms"]
 
@@ -52,19 +47,15 @@ def vetga_decompose(
 
     With ``include_load=True`` the modelled loading time counts against
     ``time_budget_ms`` first, reproducing the force-terminated loads.
-    ``sanitize=True`` attaches the static lint report over this
-    emulation's source (see :func:`~repro.systems.base.lint_emulation`).
-    ``memtrace=True`` / ``profile=True`` attach the memory-telemetry
-    and charge-profile reports (see
-    :func:`~repro.systems.base.instrument_emulation`).
+    ``sanitize``, ``memtrace`` and ``profile`` are described in
+    :mod:`repro.systems`.
     """
+    run = HostRun(None, "vetga", memtrace=memtrace, profile=profile)
+    device = run.device(device, time_budget_ms=time_budget_ms)
     load_ms = vetga_load_ms(graph, tuning) if include_load else 0.0
     if time_budget_ms is not None and load_ms > time_budget_ms:
         raise SimulatedTimeLimitExceeded(load_ms, time_budget_ms)
-    device = device or Device(time_budget_ms=time_budget_ms)
-    tracker = instrument_emulation(
-        device, "vetga", memtrace=memtrace, profile=profile
-    )
+    tracker = device.memtracer
     n, m2 = graph.num_vertices, graph.neighbors.size
     if tracker is not None:
         tracker.set_scope("vetga.init")
@@ -117,18 +108,10 @@ def vetga_decompose(
         "system.iterations": float(iterations),
         "system.load_ms": float(load_ms),
     }
-    counters.update(device.counters())
-    memtrace_report, profile_report = finish_emulation(device)
-    return DecompositionResult(
-        core=core,
-        algorithm="vetga",
-        simulated_ms=device.elapsed_ms,
-        peak_memory_bytes=device.peak_memory_bytes,
+    return run.result(
+        core,
         rounds=k,
         stats={"iterations": iterations, "load_ms": load_ms},
         counters=counters,
-        trace=device.tracer,
         sanitizer=lint_emulation(__name__) if sanitize else None,
-        profile=profile_report,
-        memtrace=memtrace_report,
     )

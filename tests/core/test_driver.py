@@ -11,7 +11,10 @@ import pytest
 from repro.core.bfs_kernel import gpu_bfs
 from repro.core.decomposer import KCoreDecomposer
 from repro.core.host import GpuPeelOptions, gpu_peel
+from repro.errors import ReproError
+from repro.gpusim.costmodel import CostModel
 from repro.gpusim.device import Device
+from repro.gpusim.spec import DeviceSpec
 from repro.graph.examples import fig1_graph
 
 OBSERVERS = dict(sanitize=True, staticheck=True, dataflow=True,
@@ -64,3 +67,32 @@ def test_decomposer_keeps_observers_next_to_options():
     assert np.array_equal(
         result.core, [expected[v] for v in range(graph.num_vertices)]
     )
+
+
+@pytest.mark.parametrize("keyword, value", [
+    ("options", GpuPeelOptions(time_budget_ms=1.0)),
+    ("spec", DeviceSpec()),
+    ("cost_model", CostModel()),
+])
+def test_prebuilt_device_rejects_a_keyword_it_would_ignore(keyword, value):
+    graph, _ = fig1_graph()
+    device = Device()
+    with pytest.raises(ReproError) as info:
+        gpu_peel(graph, device=device, **{keyword: value})
+    named = "time_budget_ms" if keyword == "options" else keyword
+    assert named in str(info.value)
+    assert device.kernel_launches == 0
+
+
+def test_prebuilt_bfs_device_rejects_a_spec():
+    graph, _ = fig1_graph()
+    with pytest.raises(ReproError, match="spec"):
+        gpu_bfs(graph, device=Device(), spec=DeviceSpec())
+
+
+def test_prebuilt_device_keeps_its_engine_over_the_keyword():
+    graph, _ = fig1_graph()
+    result = gpu_peel(graph, device=Device(engine="reference"),
+                      engine="vectorized")
+    assert result.stats["engine"] == "reference"
+    assert result.counters["engine.reference"] == 1.0

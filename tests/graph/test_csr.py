@@ -47,6 +47,20 @@ class TestConstruction:
         with pytest.raises(GraphValidationError):
             CSRGraph.from_edges([(-1, 2)])
 
+    @pytest.mark.parametrize(
+        "bad", [1.5, float("nan"), float("inf"), -float("inf"), 1e30]
+    )
+    def test_non_integral_float_ids_rejected(self, bad, recwarn):
+        with pytest.raises(GraphValidationError, match="finite integers"):
+            CSRGraph.from_edges([[0, bad]])
+        assert not recwarn.list  # no numpy cast warning on the way
+
+    def test_integral_float_ids_accepted(self):
+        g = CSRGraph.from_edges([[0.0, 1.0]])
+        assert g.neighbors.dtype == np.int64
+        assert g.num_vertices == 2
+        assert g.has_edge(0, 1)
+
     def test_bad_shape_rejected(self):
         with pytest.raises(GraphValidationError):
             CSRGraph.from_edges(np.array([[1, 2, 3]]))

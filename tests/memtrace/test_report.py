@@ -14,8 +14,9 @@ from repro.memtrace import (
 
 
 def sample_report():
-    device = Device(memtrace=True)
-    tracker = device.memtracer
+    device = Device()
+    tracker = device.memtracer = MemoryTracker()
+    tracker.attach(device.memory.in_use)
     tracker.annotate(variant="ours", algorithm="gpu-ours")
     tracker.set_round(0)
     device.malloc("deg", 128)

@@ -8,7 +8,9 @@ from repro.memtrace.tracker import CONTEXT_NAME, HOST_SCOPE, MemoryTracker
 
 
 def tracked_device(**kwargs):
-    device = Device(memtrace=True, **kwargs)
+    device = Device(**kwargs)
+    device.memtracer = MemoryTracker()
+    device.memtracer.attach(device.memory.in_use)
     return device, device.memtracer
 
 

@@ -37,7 +37,8 @@ def graph():
 @pytest.fixture(scope="module")
 def profiled(graph):
     """One profiled run with the device kept for cross-checking."""
-    device = Device(profile=True)
+    device = Device()
+    device.profiler = KernelProfiler()
     result = gpu_peel(graph, variant="ours", device=device)
     return device, result
 

@@ -6,7 +6,7 @@ pins the ``file:line`` provenance to this file).  Never import them
 into production code.
 
 The first group races at runtime and is exercised through
-``Device(sanitize=True).launch``; the second group violates the static
+``Device.launch`` under a sanitizer; the second group violates the static
 lint rules and is only ever parsed, not executed.
 """
 

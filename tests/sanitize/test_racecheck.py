@@ -18,8 +18,14 @@ from repro.sanitize import KernelSanitizer
 from tests.sanitize import bad_kernels
 
 
+def _sanitized_device(sanitizer=None):
+    device = Device()
+    device.sanitizer = sanitizer or KernelSanitizer()
+    return device
+
+
 def _launch(kernel, args=(), grid_dim=1, block_dim=64, sanitizer=None):
-    device = Device(sanitize=True, sanitizer=sanitizer)
+    device = _sanitized_device(sanitizer)
     out = device.malloc("out", 4)
     device.launch(kernel, args=args or (), grid_dim=grid_dim,
                   block_dim=block_dim)
@@ -51,7 +57,7 @@ class TestDetectorsFire:
         assert "write-write" in finding.message
 
     def test_global_write_race_across_blocks(self):
-        device = Device(sanitize=True)
+        device = _sanitized_device()
         out = device.malloc("out", 4)
         device.launch(bad_kernels.global_write_race, args=(out,),
                       grid_dim=2, block_dim=32)
@@ -77,7 +83,7 @@ class TestDetectorsFire:
         assert "ballot-hazard" in _detectors(device)
 
     def test_atomic_version_is_clean(self):
-        device = Device(sanitize=True)
+        device = _sanitized_device()
         out = device.malloc("out", 4)
         device.launch(bad_kernels.global_race_fixed, args=(out,),
                       grid_dim=2, block_dim=32)

@@ -44,3 +44,26 @@ def test_names_resolve_as_modules_or_attributes(check_docs):
     assert check_docs.resolves("repro.gpusim.memory")
     assert check_docs.resolves("repro.gpusim.device.Device.charge")
     assert not check_docs.resolves("repro.gpusim.metrics")
+
+
+def test_phantom_keyword_is_flagged_in_spans_and_fenced_blocks(
+    check_docs, tmp_path
+):
+    page = tmp_path / "PAGE.md"
+    text = (
+        "Real: `gpu_peel(..., memtrace=True)`; stale: `Device(profile=True)`.\n"
+        "Not a call: `Device(...` and `x.decompose(graph, nope=1)`.\n"
+        "```python\n"
+        "dev = Device(spec=None,\n"
+        "             sanitize=True)\n"
+        "result = decompose(graph, 'gpu-ours', anything=1)  # **kwargs\n"
+        "```\n"
+    )
+    problems = []
+    known = check_docs.exported_keywords()
+    assert "decompose" not in known  # takes **kwargs: skipped
+    assert check_docs.check_keywords(page, text, known, problems) == 4
+    assert problems == [
+        f"{page}:1: Device() has no keyword 'profile'",
+        f"{page}:5: Device() has no keyword 'sanitize'",
+    ]
