@@ -33,10 +33,7 @@ def bootstrap() -> None:
 
 bootstrap()
 from repro.obs.export import write_artifact  # noqa: E402,F401  (needs bootstrap)
-from repro.sanitize.findings import (  # noqa: E402  (needs bootstrap)
-    FINDINGS_SCHEMA,
-    write_findings,
-)
+from repro.sanitize.findings import write_findings  # noqa: E402,F401
 
 
 def load_record(path: "str | Path") -> Dict[str, Any]:

@@ -3,7 +3,7 @@
 
     python scripts/check_docs.py [--verbose]
 
-Four classes of doc rot this catches:
+Five classes of doc rot this catches:
 
 1. **Broken links** — every relative markdown link (``[x](docs/FOO.md)``,
    ``[y](SIMULATOR.md)``, anchors and ``examples/`` directories
@@ -19,7 +19,7 @@ Four classes of doc rot this catches:
    inline-code span of README.md, DESIGN.md, EXPERIMENTS.md and
    ``docs/*.md`` must import as a module or resolve as an attribute of
    one (``repro.api.decompose``, ``repro.systems.*``).  Schema ids
-   (a name followed by ``/``, e.g. ``repro.runreport/v1``) are not
+   (``repro.runreport/v1``, ``repro.matrix-baseline/v1``) are not
    code.  The other top-level pages (CHANGES.md, ROADMAP.md, ...) are
    history and name deleted code on purpose, so they are not walked.
 4. **Phantom keywords** — on the same pages, every call snippet of a
@@ -28,6 +28,10 @@ Four classes of doc rot this catches:
    fenced block, must pass only keywords the callable really takes.
    Snippets that do not parse as a Python call, and callables that
    take ``**kwargs``, are skipped.
+5. **Phantom paths** — on the same pages, every repository path in
+   an inline-code span or a fenced block (``scripts/*.py``,
+   ``benchmarks/results/*.json``, ``docs/*.md``) must exist, so a
+   deleted gate script or baseline cannot stay documented.
 
 Exit status: 0 OK, 1 findings, 2 configuration error (missing file).
 """
@@ -62,6 +66,12 @@ NAME_GLOBS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md")
 #: an inline-code span, and a dotted ``repro`` name inside one
 _SPAN = re.compile(r"`([^`\n]+)`")
 _NAME = re.compile(r"\brepro(?:\.[A-Za-z_]\w*)+")
+
+#: a repository path: a script, a committed result, or a docs page
+_PATH = re.compile(
+    r"(?<![\w./-])(?:scripts/[\w.-]+\.py|benchmarks/results/[\w.-]+\.json"
+    r"|docs/[\w.-]+\.md)(?![\w/-])"
+)
 
 #: a fenced-block delimiter line, and a call of a bare name
 _FENCE = re.compile(r"^\s*(```|~~~)")
@@ -152,8 +162,8 @@ def check_module_names(
         for span in _SPAN.finditer(line):
             code = span.group(1)
             for match in _NAME.finditer(code):
-                if code.startswith("/", match.end()):
-                    continue  # a schema id such as repro.runreport/v1
+                if re.match(r"[\w.-]*/", code[match.end():]):
+                    continue  # a schema id: repro.matrix-baseline/v1
                 checked += 1
                 if not resolves(match.group()):
                     problems.append(
@@ -249,6 +259,19 @@ def check_keywords(
     return checked
 
 
+def check_paths(path: Path, text: str, problems: List[str]) -> int:
+    checked = 0
+    for first_line, code in _code_snippets(text):
+        for match in _PATH.finditer(code):
+            checked += 1
+            if not (REPO_ROOT / match.group()).exists():
+                line = first_line + code[: match.start()].count("\n")
+                problems.append(
+                    f"{_rel(path)}:{line}: no such file {match.group()}"
+                )
+    return checked
+
+
 def main(argv: "List[str] | None" = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--verbose", action="store_true",
@@ -259,30 +282,33 @@ def main(argv: "List[str] | None" = None) -> int:
     known_keywords = exported_keywords()
     name_pages = set(_doc_files(NAME_GLOBS))
     problems: List[str] = []
-    n_links = n_flags = n_names = n_keywords = 0
+    n_links = n_flags = n_names = n_keywords = n_paths = 0
     for path in _doc_files():
         text = path.read_text(encoding="utf-8")
         links = check_links(path, text, problems)
         flags = check_cli_flags(path, text, known_flags, problems)
-        names = keywords = 0
+        names = keywords = paths = 0
         if path in name_pages:
             names = check_module_names(path, text, problems)
             keywords = check_keywords(path, text, known_keywords, problems)
+            paths = check_paths(path, text, problems)
         n_links += links
         n_flags += flags
         n_names += names
         n_keywords += keywords
+        n_paths += paths
         if args.verbose:
             print(f"  {_rel(path)}: {links} links, {flags} CLI flags, "
-                  f"{names} module names, {keywords} keywords")
+                  f"{names} module names, {keywords} keywords, "
+                  f"{paths} paths")
     if problems:
         print(f"check_docs: {len(problems)} problem(s)", file=sys.stderr)
         for problem in problems:
             print(f"  {problem}", file=sys.stderr)
         return 1
     print(f"check_docs: OK ({n_links} links, {n_flags} CLI flag "
-          f"mentions, {n_names} module names, {n_keywords} call keywords "
-          f"across the markdown pages)")
+          f"mentions, {n_names} module names, {n_keywords} call keywords, "
+          f"{n_paths} repository paths across the markdown pages)")
     return 0
 
 

@@ -52,11 +52,12 @@ def _is_number(value: Any) -> bool:
 
 
 def _validate_profile_baseline(record: Dict[str, Any]) -> List[str]:
-    """Structural check of a ``repro.profile-baseline/v1`` record.
+    """Structural check of a matrix baseline's ``perf`` section.
 
     The deep arithmetic checks live with the profiler
     (:mod:`repro.profile.report`); here we only keep the committed
-    baseline well-formed enough for ``check_perf_regression.py``.
+    cycle budgets and bound classes well-formed enough for
+    ``scripts/check_matrix.py``.
     """
     errors: List[str] = []
     if not isinstance(record.get("dataset"), str) or not record["dataset"]:
@@ -89,15 +90,15 @@ def _validate_profile_baseline(record: Dict[str, Any]) -> List[str]:
 def _validate_trajectory(record: Dict[str, Any]) -> List[str]:
     """Structural check of a ``repro.bench-trajectory/v1`` record.
 
-    An entry carries ``cycles`` (the perf gate's per-variant kernel
-    cycles), ``peaks`` (the memory gate's per-program peak bytes),
-    ``engine_speedup`` (a dated host wall-clock comparison of the
-    execution engines, see ``docs/SIMULATOR.md``), ``runreport`` (the
-    run-report gate's per-algorithm summary, see
-    ``scripts/check_runreport.py``), ``critpath`` (the critical-path
-    gate's per-program speedup ceilings and multi-GPU round
-    attribution, see ``scripts/check_critpath.py``), or any
-    combination — at least one must be present.
+    An entry carries ``cycles`` (per-variant kernel cycles), ``peaks``
+    (per-program peak bytes), ``engine_speedup`` (a dated host
+    wall-clock comparison of the execution engines, see
+    ``docs/SIMULATOR.md``), ``runreport`` (the run report's
+    per-algorithm summary), ``critpath`` (per-program speedup ceilings
+    and multi-GPU round attribution), or any combination — at least
+    one must be present.  The program-matrix gate
+    (``scripts/check_matrix.py``) appends one entry per run carrying
+    ``cycles``, ``peaks``, ``runreport`` and ``critpath``.
     """
     errors: List[str] = []
     entries = record.get("records")
@@ -219,11 +220,11 @@ def _validate_trajectory(record: Dict[str, Any]) -> List[str]:
 
 
 def _validate_memory_baseline(record: Dict[str, Any]) -> List[str]:
-    """Structural check of a ``repro.memory-baseline/v1`` record.
+    """Structural check of a matrix baseline's ``memory`` section.
 
     Pins the exact peak bytes of every kernel variant and system
     emulation on one dataset, plus Table V's ordering claims; consumed
-    by ``scripts/check_memory_regression.py``.
+    by ``scripts/check_matrix.py``.
     """
     errors: List[str] = []
     if not isinstance(record.get("dataset"), str) or not record["dataset"]:
@@ -275,12 +276,35 @@ def _validate_memory_baseline(record: Dict[str, Any]) -> List[str]:
     return errors
 
 
+#: the sections of a ``repro.matrix-baseline/v1`` record, with their
+#: structural validators
+_MATRIX_SECTIONS = {
+    "perf": _validate_profile_baseline,
+    "memory": _validate_memory_baseline,
+}
+
+
+def _validate_matrix_baseline(record: Dict[str, Any]) -> List[str]:
+    """Structural check of a ``repro.matrix-baseline/v1`` record: the
+    one baseline of ``scripts/check_matrix.py``, a section per check,
+    both on the same dataset."""
+    errors: List[str] = []
+    for key, validate in _MATRIX_SECTIONS.items():
+        section = record.get(key)
+        if not isinstance(section, dict):
+            errors.append(f"{key} must be an object")
+        else:
+            errors.extend(f"{key}.{err}" for err in validate(section))
+    if not errors and record["perf"]["dataset"] != record["memory"]["dataset"]:
+        errors.append("perf.dataset and memory.dataset must match")
+    return errors
+
+
 #: non-table records that may live next to the bench tables under
 #: ``benchmarks/results/``, with their structural validators
 SIBLING_SCHEMAS = {
-    "repro.profile-baseline/v1": _validate_profile_baseline,
     "repro.bench-trajectory/v1": _validate_trajectory,
-    "repro.memory-baseline/v1": _validate_memory_baseline,
+    "repro.matrix-baseline/v1": _validate_matrix_baseline,
 }
 
 

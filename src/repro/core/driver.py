@@ -109,6 +109,9 @@ class HostRun:
         #: critical-path run (see ``build_multi_critpath``)
         self.subrounds: list[dict[str, Any]] = []
         self._sanitizer: "KernelSanitizer | None" = None
+        #: per device, the arrays resident before the run (a shared
+        #: device's history, which the run must not free)
+        self._resident: list[frozenset[str]] = []
 
     def device(self, device: Device | None = None, **config: Any) -> Device:
         """The run's one device: a caller's ``device`` (which keeps its
@@ -173,6 +176,10 @@ class HostRun:
             device.profiler.annotate(**labels)
         if device.memtracer is not None:
             device.memtracer.annotate(**labels)
+        # a shared device may carry a prior run's arrays and launches:
+        # this run frees only its own arrays and counts only its own work
+        device.mark()
+        self._resident.append(frozenset(device.memory.live()))
         self.devices.append(device)
         return device
 
@@ -278,35 +285,40 @@ class HostRun:
         """Close every observer and assemble the run's result.
 
         Read ``core`` back first: with a memory tracker attached, every
-        device array is freed here so each lifetime closes.  A
-        single-device run's ``counters`` gain the device's own
-        ``device.*`` / ``engine.served.*``, led by the ``engine.<name>``
-        tag when the device ran a SIMT launch.  Multi-GPU passes its
-        coordinator ``simulated_ms`` (the default is the one device's
-        clock) and its ``exchange`` costs; the trace and the kernel
-        profile are per device, so its result carries neither.  A
-        system emulation passes its static lint report as
-        ``sanitizer``, in place of a device sanitizer's.
+        array the run allocated is freed here so each lifetime closes
+        (arrays resident before the run stay live).  A single-device
+        run's ``counters`` gain the device's own ``device.*`` /
+        ``engine.served.*`` for this run alone, led by the
+        ``engine.<name>`` tag when the run made a SIMT launch.
+        Multi-GPU passes its coordinator ``simulated_ms`` (the default
+        is the one device's clock) and its ``exchange`` costs; the
+        trace and the kernel profile are per device, so its result
+        carries neither.  A system emulation passes its static lint
+        report as ``sanitizer``, in place of a device sanitizer's.
         """
         devices = self.devices
         lead = self.lead
-        for device in devices:
+        for device, resident in zip(devices, self._resident):
             if device.profiler is not None:
                 device.profiler.set_round(None)
             mt = device.memtracer
             if mt is not None:
                 mt.set_round(None)
                 # untraced devices keep their contents for inspection
-                device.free_all()
+                for name in device.memory.live():
+                    if name not in resident:
+                        device.free(name)
                 mt.finish(device.elapsed_ms)
         if simulated_ms is None:
             simulated_ms = devices[0].elapsed_ms
         if lead is not None and counters is not None:
-            # the engine that ran the launches (a tag, not a measurement:
-            # values are engine-invariant), then the device's metrics
-            if lead.launch_log:
+            # the engine that ran the run's launches (a tag, not a
+            # measurement: values are engine-invariant), then the
+            # device's metrics
+            run = lead.counters()
+            if any(name.startswith("engine.served.") for name in run):
                 counters = {**counters, f"engine.{lead.engine.name}": 1.0}
-            counters = {**counters, **lead.counters()}
+            counters = {**counters, **run}
         trace = lead.tracer if lead is not None else None
         if trace is not None and counters:
             for name, value in counters.items():

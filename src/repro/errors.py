@@ -83,6 +83,23 @@ class DeviceOutOfMemoryError(DeviceError):
         )
 
 
+class DeviceArrayExistsError(DeviceError, ValueError):
+    """A ``malloc`` on the simulated device reused a live array's name.
+
+    The usual cause is a second run on a shared device whose first run
+    left its arrays resident (``gpu_peel(g, device=d)`` twice).  Also
+    derives from :class:`ValueError`, which the name clash used to
+    raise.
+    """
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        super().__init__(
+            f"device array {name!r} already allocated: free it first "
+            f"(Device.free({name!r})), or pass a fresh Device"
+        )
+
+
 class InvalidFreeError(DeviceError):
     """A ``free`` on the simulated device named no live allocation.
 

@@ -136,6 +136,10 @@ class Device:
         self.kernel_launches = 0
         self.total_cycles = 0.0
         self.launch_log: list[KernelStats] = []
+        #: the counting window :meth:`counters` reports: launches and
+        #: log length at the last :meth:`mark`, and the cycles since
+        self._mark = (0, 0)
+        self._window_cycles = 0.0
         #: the attached tracer, or ``None`` (tracing off); an explicit
         #: argument wins over the process-wide active tracer
         self.tracer = tracer if tracer is not None else active_tracer()
@@ -275,6 +279,7 @@ class Device:
             )
         self.kernel_launches += 1
         self.total_cycles += stats.cycles
+        self._window_cycles += stats.cycles
         self.launch_log.append(stats)
         if tr is not None:
             tr.span(
@@ -327,6 +332,7 @@ class Device:
         tr = self.tracer
         charge_ts = self.elapsed_ms if tr is not None else 0.0
         self.total_cycles += cycles
+        self._window_cycles += cycles
         self.kernel_launches += launches
         prof = self.profiler
         if prof is not None and label is not None:
@@ -358,8 +364,20 @@ class Device:
         """High-water mark of device global memory."""
         return self.memory.peak
 
+    def mark(self) -> None:
+        """Open a new counting window for :meth:`counters`.
+
+        A run on a shared device calls this first, so the prior work
+        stays out of the run's counters.  The window's cycles are
+        summed from zero, in launch order, so they equal a fresh
+        device's bit for bit (subtracting a snapshot would not).
+        """
+        self._mark = (self.kernel_launches, len(self.launch_log))
+        self._window_cycles = 0.0
+
     def counters(self) -> dict[str, float]:
-        """Flat device-level metrics over every launch so far.
+        """Flat device-level metrics over every launch since the last
+        :meth:`mark` (for a fresh device, every launch so far).
 
         Computed on demand from the launch log (so it is available with
         tracing off too); keys match the tracer's ``device.*`` counters,
@@ -368,10 +386,11 @@ class Device:
         vectorized engine's structural fallbacks show up under
         ``engine.served.reference``).
         """
-        log = self.launch_log
+        launches, start = self._mark
+        log = self.launch_log[start:]
         counters = {
-            "device.kernel_launches": float(self.kernel_launches),
-            "device.cycles": float(self.total_cycles),
+            "device.kernel_launches": float(self.kernel_launches - launches),
+            "device.cycles": float(self._window_cycles),
             "device.mem_transactions": float(
                 sum(s.mem_transactions for s in log)
             ),

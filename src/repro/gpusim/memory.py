@@ -38,7 +38,11 @@ from typing import Dict, Set, Tuple
 
 import numpy as np
 
-from repro.errors import DeviceOutOfMemoryError, InvalidFreeError
+from repro.errors import (
+    DeviceArrayExistsError,
+    DeviceOutOfMemoryError,
+    InvalidFreeError,
+)
 
 __all__ = ["DeviceArray", "GlobalMemory"]
 
@@ -91,9 +95,13 @@ class GlobalMemory:
         Passing an array mirrors ``cudaMalloc`` + ``cudaMemcpyHostToDevice``
         in one step; the host copy keeps int64 for indexing, the device
         accounting uses ``id_bytes`` per element.
+
+        Raises:
+            DeviceArrayExistsError: ``name`` is already live.
+            DeviceOutOfMemoryError: the allocation exceeds the capacity.
         """
         if name in self._arrays:
-            raise ValueError(f"device array {name!r} already allocated")
+            raise DeviceArrayExistsError(name)
         if isinstance(size, np.ndarray):
             data = size.astype(np.int64, copy=True)
         else:

@@ -43,7 +43,8 @@ merge) — the communication attribution ROADMAP item 5 asks for before
 the partitioned engine lands.
 
 See the "Critical path & what-if" section of ``docs/OBSERVABILITY.md``
-and the CI gate ``scripts/check_critpath.py``.
+and the critpath section of the program-matrix CI gate
+``scripts/check_matrix.py``.
 """
 
 from __future__ import annotations

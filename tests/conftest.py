@@ -1,7 +1,16 @@
-"""Shared fixtures: reference graphs and ground-truth core numbers, and
-the pinned table of which programs take which observer keyword."""
+"""Shared fixtures: reference graphs and ground-truth core numbers, the
+pinned table of which programs take which observer keyword, and one
+measurement of the program-matrix gate."""
 
 from __future__ import annotations
+
+import importlib.util
+import json
+import sys
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -126,3 +135,59 @@ def programs_taking(keyword: str) -> frozenset[str]:
         name for name in algorithm_names()
         if keyword in supported_keywords(name)
     )
+
+
+# -- the program-matrix gate -------------------------------------------------
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+@pytest.fixture(scope="session")
+def matrix_gate():
+    """``scripts/check_matrix.py`` loaded the way CI runs it, with one
+    full measurement of the committed baseline.
+
+    The gate's ``measure`` is then replaced by that measurement (less
+    its ``trackers`` and ``it-2004`` runs under ``--quick``), so
+    every test drives ``gate.main`` end to end (exit code, messages,
+    artifacts, trajectory) against a doctored baseline or a doctored
+    measurement without re-running the matrix.  ``calls`` counts the
+    runs the measurement made: ``("collect", programs)``,
+    ``("plain", program)`` and ``("gpu_peel", variant, instrumented)``.
+    """
+    spec = importlib.util.spec_from_file_location(
+        "check_matrix", SCRIPTS / "check_matrix.py"
+    )
+    gate = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gate  # the gate's dataclass looks itself up
+    spec.loader.exec_module(gate)
+    baseline = json.loads(gate.DEFAULT_BASELINE.read_text())
+    calls: Counter = Counter()
+    collect, decompose, gpu_peel = (
+        gate.collect_run_report, gate.decompose, gate.gpu_peel
+    )
+
+    def spy_collect(graph, programs, **kwargs):
+        calls["collect", tuple(programs)] += 1
+        return collect(graph, programs, **kwargs)
+
+    def spy_decompose(graph, name, **kwargs):
+        calls["plain", name] += 1
+        return decompose(graph, name, **kwargs)
+
+    def spy_gpu_peel(graph, variant, **kwargs):
+        calls["gpu_peel", variant, bool(kwargs)] += 1
+        return gpu_peel(graph, variant=variant, **kwargs)
+
+    gate.collect_run_report = spy_collect
+    gate.decompose = spy_decompose
+    gate.gpu_peel = spy_gpu_peel
+    try:
+        matrix = gate.measure(baseline, False)
+    finally:
+        gate.collect_run_report = collect
+        gate.decompose = decompose
+        gate.gpu_peel = gpu_peel
+    quick = replace(matrix, vp={}, oom={})
+    gate.measure = lambda baseline, skip: quick if skip else matrix
+    return SimpleNamespace(gate=gate, matrix=matrix, calls=calls)

@@ -7,6 +7,8 @@ from repro.core.host import GpuPeelOptions, gpu_peel
 from repro.core.variants import VariantConfig, get_variant, variant_names
 from repro.errors import (
     BufferOverflowError,
+    DeviceArrayExistsError,
+    DeviceError,
     ReproError,
     SimulatedTimeLimitExceeded,
     UnknownAlgorithmError,
@@ -114,6 +116,17 @@ class TestOptionsAndErrors:
         gpu_peel(graph, device=device)
         with pytest.raises(ValueError):
             gpu_peel(graph, device=device)  # arrays already allocated
+
+    def test_name_clash_is_a_typed_actionable_error(self, fig1):
+        graph, _ = fig1
+        device = Device()
+        gpu_peel(graph, device=device)
+        with pytest.raises(DeviceArrayExistsError) as exc:
+            gpu_peel(graph, device=device)
+        assert isinstance(exc.value, DeviceError)
+        assert exc.value.name == "offsets"
+        assert "'offsets' already allocated" in str(exc.value)
+        assert "pass a fresh Device" in str(exc.value)
 
     def test_custom_variant_config(self, fig1):
         graph, expected = fig1

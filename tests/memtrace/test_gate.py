@@ -1,53 +1,49 @@
-"""Memory-regression gate tests: passes fresh, fails on doctored input.
+"""CI-gate tests for the ``memory`` section of scripts/check_matrix.py.
 
-Loads ``scripts/check_memory_regression.py`` the same way CI runs it
-and drives :func:`main` against small purpose-built baselines (three
-variants + one system on the smallest dataset) so the failure modes
-the acceptance criteria demand — an injected 2x peak and a flipped
-Table V ordering — are demonstrated by tests, not just by hand.
+Drives the gate's :func:`main` against small purpose-built baselines
+(four variants + one system) so the failure modes the Table V claims
+need — an injected 2x peak and a flipped ordering — are demonstrated
+by tests, not just by hand.  The ``matrix_gate`` fixture shares one
+matrix measurement between them.
 """
 
-import importlib.util
 import json
 from pathlib import Path
 
 import pytest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-GATE = REPO_ROOT / "scripts" / "check_memory_regression.py"
-BASELINE = REPO_ROOT / "benchmarks" / "results" / "memory_baseline.json"
+BASELINE = REPO_ROOT / "benchmarks" / "results" / "matrix_baseline.json"
 
 
-@pytest.fixture(scope="module")
-def gate():
-    spec = importlib.util.spec_from_file_location("memgate", GATE)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+@pytest.fixture
+def gate(matrix_gate):
+    return matrix_gate.gate
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def committed_baseline():
     return json.loads(BASELINE.read_text())
 
 
 def small_baseline(committed, **overrides):
-    """The committed baseline trimmed to a fast four-program subset."""
-    record = {
-        "schema": "repro.memory-baseline/v1",
-        "dataset": committed["dataset"],
+    """The committed baseline with its memory section trimmed to a
+    four-program subset and no big-graph OOM run."""
+    memory = committed["memory"]
+    section = {
+        "dataset": memory["dataset"],
         "variants": {
-            name: committed["variants"][name]
+            name: memory["variants"][name]
             for name in ("gpu-ours", "gpu-sm", "gpu-vp", "gpu-ec")
         },
-        "systems": {"gswitch": committed["systems"]["gswitch"]},
+        "systems": {"gswitch": memory["systems"]["gswitch"]},
         "ordering": {
             "minimal_tie": ["gpu-ours", "gpu-sm", "gpu-vp"],
             "above": ["gpu-ec"],
         },
     }
-    record.update(overrides)
-    return record
+    section.update(overrides)
+    return {**committed, "memory": section}
 
 
 def write(tmp_path, record):
@@ -63,12 +59,13 @@ def run(gate, path, *extra):
 def test_committed_baseline_is_schema_valid(committed_baseline):
     from repro.bench.schema import SIBLING_SCHEMAS
 
-    validator = SIBLING_SCHEMAS["repro.memory-baseline/v1"]
+    validator = SIBLING_SCHEMAS["repro.matrix-baseline/v1"]
     assert validator(committed_baseline) == []
-    assert set(committed_baseline["ordering"]["minimal_tie"]) == {
+    memory = committed_baseline["memory"]
+    assert set(memory["ordering"]["minimal_tie"]) == {
         "gpu-ours", "gpu-sm", "gpu-vp"
     }
-    assert committed_baseline["oom"]["dataset"] == "it-2004"
+    assert memory["oom"]["dataset"] == "it-2004"
 
 
 def test_gate_passes_on_fresh_measurements(
@@ -83,7 +80,7 @@ def test_gate_fails_on_injected_2x_peak(
     gate, committed_baseline, tmp_path, capsys
 ):
     record = small_baseline(committed_baseline)
-    record["variants"]["gpu-ours"] *= 2
+    record["memory"]["variants"]["gpu-ours"] *= 2
     assert run(gate, write(tmp_path, record)) == 1
     assert "peak" in capsys.readouterr().err
 
@@ -91,11 +88,10 @@ def test_gate_fails_on_injected_2x_peak(
 def test_gate_fails_on_flipped_ordering(
     gate, committed_baseline, tmp_path, capsys
 ):
-    record = small_baseline(committed_baseline)
-    record["ordering"] = {
+    record = small_baseline(committed_baseline, ordering={
         "minimal_tie": ["gpu-ours", "gpu-sm", "gpu-vp", "gpu-ec"],
         "above": [],
-    }
+    })
     assert run(gate, write(tmp_path, record)) == 1
     assert "no longer tie" in capsys.readouterr().err
 
@@ -104,12 +100,12 @@ def test_gate_writes_artifacts(gate, committed_baseline, tmp_path):
     from repro.memtrace import validate_memtrace_file
 
     path = write(tmp_path, small_baseline(committed_baseline))
-    report = tmp_path / "timelines.txt"
-    memjson = tmp_path / "ours.json"
-    assert run(gate, path, "--report", str(report),
-               "--json", str(memjson)) == 0
-    assert "Memory telemetry" in report.read_text()
-    assert validate_memtrace_file(memjson) == []
+    artifacts = tmp_path / "artifacts"
+    assert run(gate, path, "--artifacts", str(artifacts)) == 0
+    assert "Memory telemetry" in (
+        artifacts / "memory_timelines.txt"
+    ).read_text()
+    assert validate_memtrace_file(artifacts / "memtrace.json") == []
 
 
 def test_gate_appends_peaks_trajectory(gate, committed_baseline, tmp_path):

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.host import gpu_peel
 from repro.errors import ReproError
 from repro.gpusim.device import Device
+from repro.graph import datasets
 from repro.obs.tracer import Tracer, tracing
 from repro.systems import (
     gswitch_decompose,
@@ -96,3 +98,26 @@ def test_budget_with_prebuilt_device_is_rejected(system, fig1_graph_only):
     _, run = system
     with pytest.raises(ReproError, match="time_budget_ms"):
         run(fig1_graph_only, device=Device(), time_budget_ms=1.0)
+
+
+@pytest.fixture(scope="module")
+def web_google():
+    return datasets.load("web-Google")
+
+
+def test_run_after_gpu_peel_on_a_shared_device_sees_only_itself(
+    system, web_google
+):
+    name, run = system
+    fresh = run(web_google)
+    device = Device()
+    device.malloc("prior", 1000)
+    gpu_peel(web_google, device=device)
+    resident = device.memory.live()
+    shared = run(web_google, device=device, memtrace=True)
+    # counted from the run's own start, bit for bit a fresh run's
+    assert list(shared.counters.items()) == list(fresh.counters.items())
+    # memtrace frees only what the run allocated
+    assert device.memory.live() == resident
+    assert "prior" in resident
+    assert shared.memtrace.clean

@@ -29,7 +29,7 @@ def test_phantom_name_is_flagged_and_schema_id_is_not(check_docs, tmp_path):
     page = tmp_path / "PAGE.md"
     text = (
         "Real: `repro.api.supported_keywords` and `repro.systems.*`.\n"
-        "A schema id: `repro.runreport/v1`.\n"
+        "Schema ids: `repro.runreport/v1`, `repro.matrix-baseline/v1`.\n"
         "Phantoms: `repro.core.peeling`, `repro.api.no_such_name`.\n"
     )
     problems = []
@@ -66,4 +66,24 @@ def test_phantom_keyword_is_flagged_in_spans_and_fenced_blocks(
     assert problems == [
         f"{page}:1: Device() has no keyword 'profile'",
         f"{page}:5: Device() has no keyword 'sanitize'",
+    ]
+
+
+def test_phantom_repository_path_is_flagged(check_docs, tmp_path):
+    page = tmp_path / "PAGE.md"
+    text = (
+        "Real: `python scripts/check_docs.py --verbose`, "
+        "`benchmarks/results/table2_ablation.json`, `docs/SIMULATOR.md`.\n"
+        "Not a repository path: `hostbench/scripts/x.py`, "
+        "`benchmarks/results/*.json`.\n"
+        "```\n"
+        "python scripts/check_perf_regression.py\n"
+        "```\n"
+        "Deleted: `benchmarks/results/memory_baseline.json`.\n"
+    )
+    problems = []
+    assert check_docs.check_paths(page, text, problems) == 5
+    assert problems == [
+        f"{page}:4: no such file scripts/check_perf_regression.py",
+        f"{page}:6: no such file benchmarks/results/memory_baseline.json",
     ]
